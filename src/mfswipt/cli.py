@@ -119,6 +119,7 @@ def _write_rows(
 
 def _cmd_check(args) -> int:
     cfg, scn = parse_scenario(args.scenario)
+    _solver_options(scn)  # reject the solver block as `solve` and `sweep` would
     z = rayleigh_distance(cfg)
     print(
         f"ok: N={cfg.n_antennas} f={cfg.carrier_freq/1e9:g} GHz Z={z:.3f} m "

@@ -12,8 +12,8 @@ Solvers provided:
   closed-form ratio updates with an exactly solvable water-filling step;
   doubles as the feasibility oracle for the rate floor.
 * `sca_solve` - outer linearization of the rate constraint around slack
-  variables, each round solved by `inner_convex`, a log-barrier Newton
-  method on the reduced allocation space.
+  variables, each round solved exactly by `inner_convex` through the
+  round's Lagrange dual in a rate price and a budget price.
 * `closed_form_eh_only`, `closed_form_mixed` - stationarity-derived exact
   solutions for the harvester-only and single-decoder cases, with KKT
   residuals reported.
@@ -72,37 +72,22 @@ class SolverOptions:
     """Tolerances and iteration limits shared by every solver.
 
     convergence_threshold is the fractional objective increase below which
-    the outer linearization loop stops.  The barrier block mirrors a
-    textbook interior-point setup: start the barrier weight at barrier_t0,
-    multiply by barrier_mu per centering round, run damped Newton to
-    newton_tol, stop once the duality-gap bound drops under barrier_gap
-    (in units of the normalized objective).
+    the outer linearization loop stops.  feasibility_tolerance is the slack
+    (bps/Hz) allowed when comparing the maximum sum-rate with the floor;
+    fp_tolerance and max_fp_iters stop the fractional-programming rate
+    maximization.
     """
 
     convergence_threshold: float = 1e-3
     max_outer_iters: int = 50
-    barrier_t0: float = 1.0
-    barrier_mu: float = 20.0
-    newton_tol: float = 1e-9
-    max_newton_steps: int = 100
-    barrier_gap: float = 1e-9
     feasibility_tolerance: float = 1e-7
     fp_tolerance: float = 1e-11
     max_fp_iters: int = 3000
 
     def __post_init__(self):
-        for name in (
-            "convergence_threshold",
-            "barrier_t0",
-            "newton_tol",
-            "barrier_gap",
-            "feasibility_tolerance",
-            "fp_tolerance",
-        ):
+        for name in ("convergence_threshold", "feasibility_tolerance", "fp_tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.barrier_mu <= 1:
-            raise ValueError("barrier_mu must be > 1")
 
 
 @dataclass(frozen=True)
@@ -156,7 +141,8 @@ class SolverNumericalError(RuntimeError):
 
 
 class NoFeasibleInterior(SolverNumericalError):
-    """The convexified feasible set has no strict interior (rate floor tight)."""
+    """The convexified round cannot clear the rate floor: the bound is tight
+    at the linearization point, or a decoder has no power there."""
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +233,9 @@ def fp_rate_max(
     auxiliary gamma_m is set to the achieved SINR of decoder m, a second
     auxiliary decouples the remaining signal/total-power ratio, and the
     allocation step is a water-filling problem solved in closed form per
-    slot under a bisected budget multiplier.  Each update can only raise
-    the surrogate, so the sum-rate sequence is non-decreasing; at the fixed
-    point gamma equals the achieved SINR exactly.
+    slot under a budget multiplier found by Newton.  Each update can only
+    raise the surrogate, so the sum-rate sequence is non-decreasing; at the
+    fixed point gamma equals the achieved SINR exactly.
     """
     mask = _full_mask(mats, mask)
     k = mats.n_eh
@@ -283,15 +269,7 @@ def fp_rate_max(
         if x_free.sum() <= p0:
             x = x_free
         else:
-            lo, hi = 0.0, math.sqrt(float((u**2).sum()) / p0)
-            for _ in range(100):
-                lam = 0.5 * (lo + hi)
-                if (((u / (w + lam)) ** 2).sum()) > p0:
-                    lo = lam
-                else:
-                    hi = lam
-            x = (u / (w + 0.5 * (lo + hi))) ** 2
-            x *= p0 / x.sum()
+            x = _water_fill(u, w, p0)
         cur, a, b = eval_rate(x)
         if abs(cur - prev) <= opts.fp_tolerance * max(1.0, abs(prev)):
             prev = cur
@@ -304,6 +282,27 @@ def fp_rate_max(
     return RateMaxResult(
         r_star=prev, allocation=PowerAllocation(y), gamma=gamma, iterations=iters
     )
+
+
+def _water_fill(u: np.ndarray, w: np.ndarray, p0: float) -> np.ndarray:
+    """Allocation (u / (w + lam))^2 whose budget price lam > 0 solves
+    S(lam) = sum_i (u_i / (w_i + lam))^2 = P0, renormalised onto the budget.
+
+    S^-1/2 is concave and increasing in lam (linear for one slot), so Newton
+    on it rises monotonically to the root from the lower bound
+    max_i(u_i / sqrt(P0) - w_i), where one slot alone spends the budget; it
+    stops once a step no longer raises lam.
+    """
+    lam = max(0.0, float((u / math.sqrt(p0) - w).max()))
+    for _ in range(100):
+        den = np.maximum(w + lam, 1e-300)
+        x = (u / den) ** 2
+        s = float(x.sum())
+        step = s * (math.sqrt(s / p0) - 1.0) / float((x / den).sum())
+        if not lam + step > lam:
+            break
+        lam += step
+    return x * (p0 / s)
 
 
 def feasibility_check(
@@ -326,7 +325,7 @@ def feasibility_check(
 
 
 # ---------------------------------------------------------------------------
-# convexified subproblem: log-barrier Newton on the reduced allocation
+# convexified subproblem: exact solve through the two-multiplier dual
 
 
 def _bound_coeffs(s_tilde: np.ndarray, i_tilde: np.ndarray):
@@ -343,94 +342,145 @@ def _bound_coeffs(s_tilde: np.ndarray, i_tilde: np.ndarray):
 
 
 class _BoundModel:
-    """G(y), gradient and Hessian data for the linearized rate bound."""
+    """The linearized rate bound in separable form,
+
+        G(x) = const - sum_j alpha_j / x[pos_j] - c @ x,
+
+    where pos_j is the slot of active decoder j, alpha > 0 and c >= 0 (the
+    interference rows enter linearly).  `free` lists the other slots, which
+    G depends on linearly; they include any decoder whose alpha underflows
+    to 0 because it has almost no power at the expansion point.
+    """
 
     def __init__(self, red: _Reduced, point: SlackVars):
-        self.red = red
-        self.a, self.b, self.c0 = _bound_coeffs(point.s, point.i)
-        self.s_tilde = point.s
-        self.i_tilde = point.i
-        # constant part of the gradient: the interference rows enter linearly
-        self.grad_lin = -(self.b[:, None] * red.brow).sum(axis=0)
+        a, b, c0 = _bound_coeffs(point.s, point.i)
+        alpha = a / red.gain
+        self.pos = red.pos[alpha > 0]
+        self.alpha = alpha[alpha > 0]
+        self.free = np.setdiff1d(np.arange(red.n), self.pos)
+        self.c = b @ red.brow
+        self.const = float((c0 + a * point.s + b * (point.i - red.sigma2)).sum())
 
     def value(self, x: np.ndarray) -> float:
-        a_sig = self.red.signal(x)
-        b_int = self.red.interference(x)
-        return float(
-            (self.c0 - self.a * (1.0 / a_sig - self.s_tilde) - self.b * (b_int - self.i_tilde)).sum()
-        )
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        g = self.grad_lin.copy()
-        a_sig = self.red.signal(x)
-        np.add.at(g, self.red.pos, self.a * self.red.gain / a_sig**2)
-        return g
-
-    def hess_diag(self, x: np.ndarray) -> np.ndarray:
-        h = np.zeros(self.red.n)
-        a_sig = self.red.signal(x)
-        np.add.at(h, self.red.pos, -2.0 * self.a * self.red.gain**2 / a_sig**3)
-        return h
+        return self.const - float((self.alpha / x[self.pos]).sum()) - float(self.c @ x)
 
 
-def _interior_start(red: _Reduced, model: _BoundModel, opts: SolverOptions) -> np.ndarray:
-    """Point with G(x) strictly above the floor, strictly inside the simplex.
+def _lagrangian_argmax(model: _BoundModel, w: np.ndarray, nu: float, p0: float) -> np.ndarray:
+    """Maximize w @ x + nu G(x) over 1'x <= P0, x >= 0, for a rate price nu > 0.
 
-    Tries a shrunk equal split, then pushes G uphill with a damped Newton
-    ascent on the simplex-barriered surrogate.  Raises NoFeasibleInterior
-    when the bound cannot clear the floor by any margin, which happens
-    exactly when the current linearization is rate-tight.
+    With tau the budget price, decoder slot q takes sqrt(nu alpha_q / beta_q),
+    beta_q = tau + nu c_q - w_q.  The free slots are linear: the leftover
+    budget goes to the one with the best reduced cost w_p - nu c_p when that
+    cost is positive, and stays unspent otherwise.  The betas are measured
+    from beta0, that of the decoder q0 with the largest w_q - nu c_q, because
+    in tau terms beta0 cancels to 0 at tiny nu.  beta0 is the leftover slot's
+    price if the decoders then fit in the budget, else the root of
+    sum_q x_q = P0, found by Newton on (sum_q x_q)^-2: that is concave in
+    beta0 (linear for one decoder), so the iterates rise monotonically to the
+    root from the lower bound nu alpha_q0 / P0^2.
     """
-    floor = red.rate_floor
-    margin = 1e-9 * max(1.0, abs(floor))
-    x = np.full(red.n, 0.999 * red.p0 / red.n)
-    if model.value(x) > floor + margin:
+    pos, c = model.pos, model.c
+    d = w - nu * c
+    spend = False
+    if model.free.size:
+        p = model.free[int(np.argmax(d[model.free]))]
+        spend = d[p] > 0
+    x = np.zeros(len(w))
+    if not pos.size:  # G is affine: a linear program over the budget
+        if spend:
+            x[p] = p0
         return x
-    x = np.full(red.n, 0.5 * red.p0 / red.n)
-    t = 1.0
-    best = x
-    for _ in range(80):
-        slack_p = red.p0 - x.sum()
-        grad = -t * model.grad(x) + 1.0 / slack_p - 1.0 / x
-        hess = np.ones((red.n, red.n)) / slack_p**2 + np.diag(1.0 / x**2)
-        hess[np.diag_indices(red.n)] -= t * model.hess_diag(x)
-        try:
-            dx = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        # backtrack into the simplex while the surrogate decreases
-        step = 1.0
-        cur = -t * model.value(x) - math.log(slack_p) - float(np.log(x).sum())
-        while step > 1e-14:
-            xn = x + step * dx
-            if (xn > 0).all() and xn.sum() < red.p0:
-                nxt = (
-                    -t * model.value(xn)
-                    - math.log(red.p0 - xn.sum())
-                    - float(np.log(xn).sum())
-                )
-                if nxt <= cur + 0.25 * step * float(grad @ dx):
-                    break
-            step *= 0.5
-        if step <= 1e-14:
-            t *= 4.0
+    j0 = int(np.argmax(d[pos]))
+    q0 = pos[j0]
+    rel = (w - w[q0]) - nu * (c - c[q0])  # reduced costs relative to q0's
+    delta = np.maximum(-rel[pos], 0.0)
+    num = nu * model.alpha
+    beta_h = rel[p] if spend else -d[q0]
+    beta = max(beta_h, num[j0] / p0**2)
+    t = np.sqrt(num / (beta + delta))
+    s = float(t.sum())
+    if s > p0 or beta > beta_h:  # the decoders spend the whole budget
+        for _ in range(100):
+            step = s * ((s / p0) ** 2 - 1.0) / float((t / (beta + delta)).sum())
+            if not beta + step > beta:
+                break
+            beta += step
+            t = np.sqrt(num / (beta + delta))
+            s = float(t.sum())
+        x[pos] = t * (p0 / s)
+    else:
+        x[pos] = t
+        if spend:
+            x[p] = p0 - s
+    return x
+
+
+def _solve_round(model: _BoundModel, w: np.ndarray, floor: float, p0: float) -> np.ndarray:
+    """Maximize w @ x subject to G(x) >= floor, 1'x <= P0 and x >= 0, exactly.
+
+    G(x(nu)) at the Lagrangian maximizer x(nu) is non-decreasing in the rate
+    price nu, so a bracketing search on log nu (regula falsi, Illinois
+    variant) finds the optimal price.  The feasible end of the bracket bounds
+    the optimum by weak duality, w @ x_hi + nu_hi (G_hi - floor), and the
+    convex combination of the two ends that meets the floor (feasible because
+    G is concave) is the primal candidate; the search stops once they agree
+    to 1e-12 of P0 max|w|.  Where two linear slots tie at the optimal price
+    G jumps, and that combination is exactly the optimum that splits the
+    leftover between them.  All-zero weights select the least total power.
+    """
+    if not w.max() > 0:
+        w = -np.ones(len(w))
+    top = _lagrangian_argmax(model, np.zeros(len(w)), 1.0, p0)  # maximizes G
+    if not model.value(top) > floor + 1e-9 * max(1.0, abs(floor)):
+        raise NoFeasibleInterior(
+            "rate floor is tight at the current linearization", last_iterate=top
+        )
+    q = int(np.argmax(w))
+    if w[q] > 0 and (model.pos == q).all():  # the LP vertex keeps G finite
+        vertex = np.zeros(len(w))
+        vertex[q] = p0
+        if model.value(vertex) >= floor:  # rate price 0: the vertex is optimal
+            return vertex
+
+    scale = float(np.abs(w).max()) * p0
+    t = math.log(scale)  # log nu
+    ends = {}  # G >= floor (True) or not -> [log nu, G - floor, x, interpolation weight]
+    side = best = None
+    for _ in range(200):
+        x = _lagrangian_argmax(model, w, math.exp(t), p0)
+        phi = model.value(x) - floor
+        if (phi >= 0) == side and (not side) in ends:
+            ends[not side][3] *= 0.5  # Illinois: the same end moved twice
+        side = phi >= 0
+        ends[side] = [t, phi, x, phi]
+        hi, lo = ends.get(True), ends.get(False)
+        if hi is not None:
+            best = hi[2]
+            bound = float(w @ best) + math.exp(hi[0]) * hi[1]
+            if lo is not None:
+                best = best + hi[1] / (hi[1] - lo[1]) * (lo[2] - best)
+                dual_lo = float(w @ lo[2]) + math.exp(lo[0]) * lo[1]
+                if math.isfinite(dual_lo):  # an underflowed decoder power gives G = -inf
+                    bound = min(bound, dual_lo)
+            if bound - float(w @ best) <= 1e-12 * scale:
+                return best
+        if hi is None or lo is None:
+            t += math.log(16.0) if hi is None else -math.log(16.0)
             continue
-        x = x + step * dx
-        best = x
-        if model.value(x) > floor + margin:
-            return x
-        if float(grad @ dx) > -opts.newton_tol:
-            t *= 4.0
-    raise NoFeasibleInterior(
-        "rate floor is tight at the current linearization", last_iterate=best
-    )
+        t = lo[0] + (hi[0] - lo[0]) * lo[3] / (lo[3] - hi[3])
+        if not lo[0] < t < hi[0]:
+            t = 0.5 * (lo[0] + hi[0])
+            if not lo[0] < t < hi[0]:
+                break  # the bracket is at floating-point resolution
+    if best is None:
+        raise SolverNumericalError("no rate price meets the floor", last_iterate=x)
+    return best
 
 
 def inner_convex(
     point: SlackVars,
     mats: CorrelationMatrices,
     scenario: Scenario,
-    opts: SolverOptions = SolverOptions(),
     mask=None,
 ) -> tuple[PowerAllocation, SlackVars]:
     """Solve one convexified round: maximize harvested power under the
@@ -438,8 +488,11 @@ def inner_convex(
 
     The slack pair (S, I) of each decoder enters the objective nowhere and
     the bound monotonically prefers both at their lower limits 1/A(y) and
-    B(y), so they are eliminated exactly and the barrier runs over the
-    allocation alone.  Returns the allocation and the slack values at it.
+    B(y), so they are eliminated exactly and the round is solved exactly
+    over the allocation alone.  Raises NoFeasibleInterior when the bound
+    cannot clear the floor, and when a decoder has no power at the expansion
+    point (its slack is infinite).  Returns the allocation and the slack
+    values at it.
     """
     mask = _full_mask(mats, mask)
     red = _Reduced(mats, scenario, mask)
@@ -447,73 +500,15 @@ def inner_convex(
         raise ValueError(
             f"linearization point has {len(point.s)} slack pairs for {len(red.act_ids)} active decoders"
         )
-    model = _BoundModel(red, point)
-    x0 = _interior_start(red, model, opts)
-    x = _barrier_maximize(red, model, x0, opts)
+    for m, s, i in zip(red.act_ids, point.s, point.i):
+        if not (math.isfinite(s) and math.isfinite(i)):
+            raise NoFeasibleInterior(
+                f"decoder {m} has a non-finite linearization slack (S={s}, I={i}): it has no power"
+            )
+    x = _solve_round(_BoundModel(red, point), red.w, red.rate_floor, red.p0)
     y = red.embed(x)
     slacks = SlackVars(s=1.0 / red.signal(x), i=red.interference(x))
     return PowerAllocation(y), slacks
-
-
-def _barrier_maximize(
-    red: _Reduced, model: _BoundModel, x0: np.ndarray, opts: SolverOptions
-) -> np.ndarray:
-    """Log-barrier with damped Newton steps on the reduced allocation.
-
-    Maximizes w @ x (normalized) subject to G(x) >= floor, 1'x <= P0,
-    x >= 0, starting from a strictly feasible x0.  When every objective
-    coefficient is zero the roles flip and the total power is minimized,
-    which pins down the unique least-budget point among the equally good
-    ones.
-    """
-    n = red.n
-    scale = float(red.w.max()) * red.p0
-    if scale > 0:
-        f0 = -red.w / (scale / red.p0)  # minimize; normalized to O(1)
-    else:
-        f0 = np.ones(n)  # tie-break: least total power
-    floor = red.rate_floor
-    n_constraints = n + 2
-
-    def barrier(x, t):
-        g_val = model.value(x) - floor
-        slack_p = red.p0 - x.sum()
-        if g_val <= 0 or slack_p <= 0 or (x <= 0).any():
-            return None
-        val = t * float(f0 @ x) - math.log(g_val) - math.log(slack_p) - float(np.log(x).sum())
-        grad_g = model.grad(x)
-        grad = t * f0 - grad_g / g_val + 1.0 / slack_p - 1.0 / x
-        hess = np.outer(grad_g, grad_g) / g_val**2 + np.ones((n, n)) / slack_p**2
-        hess[np.diag_indices(n)] += 1.0 / x**2 - model.hess_diag(x) / g_val
-        return val, grad, hess
-
-    x = x0.copy()
-    t = opts.barrier_t0
-    while True:
-        for _ in range(opts.max_newton_steps):
-            out = barrier(x, t)
-            if out is None:
-                raise SolverNumericalError("barrier iterate left the domain", last_iterate=x)
-            val, grad, hess = out
-            try:
-                dx = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            decrement = float(-grad @ dx)
-            if decrement / 2.0 <= opts.newton_tol:
-                break
-            step = 1.0
-            while step > 1e-14:
-                trial = barrier(x + step * dx, t)
-                if trial is not None and trial[0] <= val + 0.25 * step * float(grad @ dx):
-                    break
-                step *= 0.5
-            if step <= 1e-14:
-                break
-            x = x + step * dx
-        if n_constraints / t < opts.barrier_gap:
-            return x
-        t *= opts.barrier_mu
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +578,7 @@ def sca_solve(
         x = y[red.idx]
         point = SlackVars(s=1.0 / red.signal(x), i=red.interference(x))
         try:
-            alloc, _ = inner_convex(point, mats, scenario, opts, mask)
+            alloc, _ = inner_convex(point, mats, scenario, mask)
         except NoFeasibleInterior:
             status = SolveStatus.OPTIMAL
             iterations -= 1

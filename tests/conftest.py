@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mfswipt import (
     ArrayConfig,
@@ -13,6 +14,11 @@ from mfswipt import (
     sum_rate,
     weighted_sum_power,
 )
+
+# fixed examples and no per-example deadline: property tests replay the same
+# draws on every run and do not flake on a slow or busy machine
+settings.register_profile("mfswipt", derandomize=True, deadline=None)
+settings.load_profile("mfswipt")
 
 
 @pytest.fixture(scope="session")

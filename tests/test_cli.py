@@ -35,6 +35,14 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_BAD_INPUT
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_unknown_solver_option(self, tmp_path, capsys):
+        # check rejects the solver block exactly as solve does
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(bundled_scenario_path().read_text() + "  barrier_mu: 20.0\n")
+        assert main(["check", str(bad)]) == EXIT_BAD_INPUT
+        assert "barrier_mu" in capsys.readouterr().err
+        assert main(["solve", str(bad)]) == EXIT_BAD_INPUT
+
 
 class TestSolve:
     def test_proposed_on_bundled(self, tmp_path):

@@ -1,0 +1,170 @@
+"""The exact SCA round (`inner_convex`) against the log-barrier oracle in
+`barrier_oracle.py`, on random geometries and on a hand-built round whose
+optimum splits the leftover budget between two harvesters; and the Newton
+water-filling step of `fp_rate_max` against bisection."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from barrier_oracle import barrier_round
+from conftest import random_geometry_instance
+from mfswipt import (
+    CorrelationMatrices,
+    NoFeasibleInterior,
+    PolarLocation,
+    Receiver,
+    Scenario,
+    SlackVars,
+    dbm_to_watts,
+    fp_rate_max,
+    inner_convex,
+)
+from mfswipt.solvers import _water_fill
+
+P0_DBM = (20.0, 44.0)
+
+
+def slack_point(mats, scn, y):
+    """Linearization point of the rate bound at allocation y."""
+    k = mats.n_eh
+    signal = mats.g_id * y[k:]  # 0 for a decoder without power: infinite slack
+    interference = mats.g_id * (mats.lambda_masked[k:] @ y) + np.asarray(scn.sigma2)
+    with np.errstate(divide="ignore"):
+        return SlackVars(s=1.0 / signal, i=interference)
+
+
+def objective(mats, y):
+    """What the round maximizes: harvested power, or, when every weight is
+    zero, minus the total power (the least-power tie-break)."""
+    w = mats.priorities
+    return float(w @ y) if w.max() > 0 else -float(y.sum())
+
+
+def solve_both(mats, scn, point):
+    """(exact allocation, barrier allocation, bound model), or the raised
+    NoFeasibleInterior in place of each allocation."""
+    try:
+        exact = inner_convex(point, mats, scn)[0].powers
+    except NoFeasibleInterior as exc:
+        exact = exc
+    try:
+        oracle, model = barrier_round(point, mats, scn)
+    except NoFeasibleInterior as exc:
+        oracle, model = exc, None
+    return exact, oracle, model
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_eh=st.integers(0, 4),
+    n_id=st.integers(1, 3),
+    p0_dbm=st.floats(*P0_DBM),
+    floor_share=st.floats(0.05, 1.2),
+    perturb=st.booleans(),
+)
+def test_exact_round_agrees_with_barrier(array256, seed, n_eh, n_id, p0_dbm, floor_share, perturb):
+    # The floor is a share of the maximum sum-rate R*.  Every bound lies below
+    # the true rate, so a floor above R* must raise in both solvers; below R*
+    # the point decides, and the perturbed points make some bounds too weak.
+    rng = np.random.default_rng(seed)
+    p0 = dbm_to_watts(p0_dbm)
+    mats, scn = random_geometry_instance(rng, array256, n_eh, n_id, rate_floor=0.0, p0=p0)
+    best = fp_rate_max(mats, scn)
+    scn = dataclasses.replace(scn, rate_floor=floor_share * best.r_star)
+    y = best.allocation.powers.copy()
+    if perturb:
+        # decoders off their rate-maximizing split, harvesters switched on
+        y[n_eh:] *= np.exp(rng.uniform(-1.5, 1.5, n_id))
+        y[:n_eh] = rng.uniform(0.0, 0.5 * p0 / max(n_eh, 1), n_eh)
+        y *= min(1.0, p0 / y.sum())
+    exact, oracle, model = solve_both(mats, scn, slack_point(mats, scn, y))
+
+    if isinstance(oracle, NoFeasibleInterior) or isinstance(exact, NoFeasibleInterior):
+        assert type(exact) is type(oracle), f"exact {exact!r}, barrier {oracle!r}"
+        return
+    x = exact[model.red.idx]
+    assert (exact >= 0).all()
+    assert exact.sum() <= p0 * (1 + 1e-12)
+    assert model.value(x) >= scn.rate_floor - 1e-9
+    got, want = objective(mats, exact), objective(mats, oracle)
+    assert abs(got - want) <= 1e-6 * abs(want)
+
+
+def two_harvester_round(coupling=0.05, rate_floor=4.0):
+    """Two orthogonal harvesters and one decoder at 1 W.  Only harvester 0
+    leaks into the decoder, and it has the higher weight; the decoder is
+    linearized at the whole budget."""
+    lam = np.eye(3)
+    lam[0, 2] = lam[2, 0] = coupling
+    masked = lam.copy()
+    masked[2, 2] = 0.0
+    c_id = np.zeros((1, 3))
+    c_id[0, 2] = 1e-9
+    mats = CorrelationMatrices(
+        lambda_full=lam,
+        lambda_masked=masked,
+        c_eh=np.array([2e-6, 1e-6, 0.0]),
+        c_id=c_id,
+        g_eh=np.array([4e-6, 2e-6]),
+        g_id=np.array([1e-9]),
+        alpha=np.ones(2),
+        zeta=0.5,
+    )
+    scn = Scenario(
+        eh_receivers=(Receiver(PolarLocation(0.0, 10.0)),) * 2,
+        id_receivers=(Receiver(PolarLocation(0.0, 400.0)),),
+        sigma2=(1e-11,),
+        p0=1.0,
+        rate_floor=rate_floor,
+    )
+    return mats, scn, slack_point(mats, scn, np.array([0.0, 0.0, 1.0]))
+
+
+def test_optimum_splits_leftover_between_two_harvesters():
+    # at the optimal rate price both harvesters have the same reduced cost;
+    # giving the whole leftover to either one alone is strictly worse
+    mats, scn, point = two_harvester_round()
+    exact, oracle, model = solve_both(mats, scn, point)
+    assert exact[0] > 0.1 and exact[1] > 0.1
+    assert exact.sum() == pytest.approx(scn.p0, rel=1e-12)
+    assert model.value(exact) == pytest.approx(scn.rate_floor, abs=1e-9)
+    assert objective(mats, exact) == pytest.approx(objective(mats, oracle), rel=1e-6)
+    for keep in ([True, False, True], [False, True, True]):
+        alone = inner_convex(point, mats, scn, mask=np.array(keep))[0].powers
+        assert objective(mats, alone) < objective(mats, exact) * (1 - 1e-3)
+
+
+def test_zero_power_decoder_is_named(reference_setup):
+    _, scn, mats = reference_setup
+    point = SlackVars(s=np.array([1e9, np.inf]), i=np.array([1e-11, 1e-11]))
+    with pytest.raises(NoFeasibleInterior, match="decoder 1"):
+        inner_convex(point, mats, scn)
+
+
+def water_fill_by_bisection(u, w, p0):
+    """Budget price of sum_i (u_i / (w_i + lam))^2 = P0 by 100 halvings."""
+    lo, hi = 0.0, np.sqrt((u**2).sum() / p0)
+    for _ in range(100):
+        lam = 0.5 * (lo + hi)
+        if ((u / (w + lam)) ** 2).sum() > p0:
+            lo = lam
+        else:
+            hi = lam
+    x = (u / (w + 0.5 * (lo + hi))) ** 2
+    return x * (p0 / x.sum())
+
+
+@given(
+    u=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+    w_scale=st.floats(1e-4, 1e2),
+    p0=st.floats(1e-2, 1e2),
+)
+def test_water_fill_matches_bisection(u, w_scale, p0):
+    u = np.array(u)
+    w = w_scale * np.linspace(1.0, 2.0, len(u))
+    assume(((u / w) ** 2).sum() > p0)  # the budget binds, so there is a price to find
+    assert _water_fill(u, w, p0) == pytest.approx(water_fill_by_bisection(u, w, p0), rel=1e-12)

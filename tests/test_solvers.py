@@ -507,7 +507,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             SolverOptions(convergence_threshold=0.0)
         with pytest.raises(ValueError):
-            SolverOptions(barrier_mu=1.0)
+            SolverOptions(fp_tolerance=0.0)
 
 
 class TestComplexityTrend:
