@@ -18,12 +18,15 @@ import numpy as np
 
 from .correlation import CorrelationMatrices, build_matrices
 from .geometry import ArrayConfig, PolarLocation, aod_to_spatial_angle, rayleigh_distance
-from .metrics import PowerAllocation, sum_rate, weighted_sum_power
+from .metrics import sum_rate
 from .scenario import Receiver, Scenario, dbm_to_watts, watts_to_dbm
 from .solvers import (
     SolveReport,
     SolveStatus,
     SolverOptions,
+    _infeasible_report,
+    _report,
+    _schedules,
     closed_form_mixed,
     exhaustive_search,
     sca_solve,
@@ -41,18 +44,6 @@ class SchemeId(Enum):
     AS_EPA = "as_epa"
 
 
-def _relabel(report: SolveReport, label: str) -> SolveReport:
-    return SolveReport(
-        allocation=report.allocation,
-        objective=report.objective,
-        trace=report.trace,
-        status=report.status,
-        residuals=report.residuals,
-        scheme=label,
-        iterations=report.iterations,
-    )
-
-
 def _equal_split_report(
     mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray, label: str
 ) -> SolveReport | None:
@@ -60,35 +51,8 @@ def _equal_split_report(
     count = int(mask.sum())
     if count == 0:
         return None
-    y = np.where(mask, scenario.p0 / count, 0.0)
-    achieved = sum_rate(mats, scenario.sigma2, y)
-    if achieved < scenario.rate_floor - 1e-9:
-        return None
-    obj = weighted_sum_power(mats, y)
-    return SolveReport(
-        allocation=PowerAllocation(y),
-        objective=obj,
-        trace=(obj,),
-        status=SolveStatus.OPTIMAL,
-        residuals={
-            "rate_slack": achieved - scenario.rate_floor,
-            "power_slack": 0.0,
-        },
-        scheme=label,
-        iterations=0,
-    )
-
-
-def _infeasible(mats: CorrelationMatrices, label: str) -> SolveReport:
-    return SolveReport(
-        allocation=PowerAllocation(np.zeros(mats.n_slots)),
-        objective=math.nan,
-        trace=(),
-        status=SolveStatus.INFEASIBLE,
-        residuals={},
-        scheme=label,
-        iterations=0,
-    )
+    report = _report(mats, scenario, np.where(mask, scenario.p0 / count, 0.0), label)
+    return report if report.residuals["rate_slack"] >= -1e-9 else None
 
 
 def run_scheme(
@@ -120,21 +84,20 @@ def run_scheme(
         mask = np.zeros(n, dtype=bool)
         mask[best_eh] = True
         mask[k + best_id] = True
-        return _relabel(closed_form_mixed(mats, scenario, mask), "gs_opa")
+        return replace(closed_form_mixed(mats, scenario, mask), scheme="gs_opa")
 
     if scheme is SchemeId.OS_EPA:
         best: SolveReport | None = None
-        for code in range(1, 2**n):
-            mask = np.array([(code >> (n - 1 - p)) & 1 for p in range(n)], dtype=bool)
+        for mask in _schedules(n):
             report = _equal_split_report(mats, scenario, mask, "os_epa")
             if report is not None and (best is None or report.objective > best.objective):
                 best = report
-        return best if best is not None else _infeasible(mats, "os_epa")
+        return best if best is not None else _infeasible_report(mats, "os_epa")
 
     if scheme is SchemeId.AS_EPA:
         mask = np.ones(n, dtype=bool)
         report = _equal_split_report(mats, scenario, mask, "as_epa")
-        return report if report is not None else _infeasible(mats, "as_epa")
+        return report if report is not None else _infeasible_report(mats, "as_epa")
 
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -189,6 +152,48 @@ class ResultRow:
     status: str
     wall_ms: float | None
     seed: int
+
+    @classmethod
+    def from_report(
+        cls,
+        sweep_var: str,
+        sweep_value: float,
+        scheme: str,
+        outcome: SolveReport | Exception,
+        mats: CorrelationMatrices | None = None,
+        scenario: Scenario | None = None,
+        wall_ms: float | None = None,
+        seed: int = 0,
+    ) -> ResultRow:
+        """The CSV row of one run: its report, or the exception it raised.
+
+        The objective, sum-rate and schedule cells are filled only for an
+        Optimal report, evaluated on its allocation with `mats` and
+        `scenario`; every other row leaves them empty.
+        """
+        if isinstance(outcome, Exception):
+            status, iterations = f"Error: {outcome}", 0
+        else:
+            status, iterations = outcome.status.value, outcome.iterations
+        obj, rate, mask = math.nan, math.nan, ""
+        if status == SolveStatus.OPTIMAL.value:
+            y = outcome.allocation
+            obj = outcome.objective
+            rate = sum_rate(mats, scenario.sigma2, y)
+            mask = "".join("01"[b] for b in y.scheduled_mask(scenario.p0).tolist())
+        return cls(
+            sweep_var=sweep_var,
+            sweep_value=float(sweep_value),
+            scheme=scheme,
+            objective_w=obj,
+            objective_dbm=watts_to_dbm(obj) if obj > 0 else None,
+            sum_rate_bpshz=rate,
+            scheduled_mask=mask,
+            iterations=iterations,
+            status=status,
+            wall_ms=wall_ms,
+            seed=seed,
+        )
 
 
 def _draw_receiver(
@@ -271,63 +276,28 @@ def run_sweep(
                 )
                 mats = build_matrices(cfg, scenario)
             except Exception as exc:
-                for scheme in schemes:
-                    rows.append(
-                        ResultRow(
-                            sweep_var=spec.variable,
-                            sweep_value=float(value),
-                            scheme=scheme.value,
-                            objective_w=math.nan,
-                            objective_dbm=None,
-                            sum_rate_bpshz=math.nan,
-                            scheduled_mask="",
-                            iterations=0,
-                            status=f"Error: {exc}",
-                            wall_ms=None,
-                            seed=spec.seed,
-                        )
-                    )
+                rows += [
+                    ResultRow.from_report(spec.variable, value, s.value, exc, seed=spec.seed)
+                    for s in schemes
+                ]
                 continue
             for scheme in schemes:
                 start = time.perf_counter()
                 try:
-                    report = run_scheme(scheme, mats, scenario, opts)
-                    status = report.status.value
+                    outcome = run_scheme(scheme, mats, scenario, opts)
                 except Exception as exc:
-                    report = None
-                    status = f"Error: {exc}"
+                    outcome = exc
                 wall = (time.perf_counter() - start) * 1e3
-                if report is not None and report.status is SolveStatus.OPTIMAL:
-                    y = report.allocation
-                    obj = report.objective
-                    row = ResultRow(
-                        sweep_var=spec.variable,
-                        sweep_value=float(value),
-                        scheme=scheme.value,
-                        objective_w=obj,
-                        objective_dbm=watts_to_dbm(obj) if obj > 0 else None,
-                        sum_rate_bpshz=sum_rate(mats, scenario.sigma2, y),
-                        scheduled_mask="".join(
-                            "1" if b else "0" for b in y.scheduled_mask(scenario.p0)
-                        ),
-                        iterations=report.iterations,
-                        status=status,
-                        wall_ms=wall if spec.record_timing else None,
-                        seed=spec.seed,
+                rows.append(
+                    ResultRow.from_report(
+                        spec.variable,
+                        value,
+                        scheme.value,
+                        outcome,
+                        mats,
+                        scenario,
+                        wall if spec.record_timing else None,
+                        spec.seed,
                     )
-                else:
-                    row = ResultRow(
-                        sweep_var=spec.variable,
-                        sweep_value=float(value),
-                        scheme=scheme.value,
-                        objective_w=math.nan,
-                        objective_dbm=None,
-                        sum_rate_bpshz=math.nan,
-                        scheduled_mask="",
-                        iterations=0 if report is None else report.iterations,
-                        status=status,
-                        wall_ms=wall if spec.record_timing else None,
-                        seed=spec.seed,
-                    )
-                rows.append(row)
+                )
     return rows

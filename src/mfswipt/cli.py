@@ -10,8 +10,8 @@ Subcommands:
 * ``check``      - parse and validate a scenario file.
 
 Exit codes: 0 solved (or any sweep row solved), 2 infeasible, 3 iteration
-limit, 4 scenario/parse error, 1 unexpected failure.  Set MFSWIPT_LOG to a
-level name (debug, info, ...) for diagnostics on stderr.
+limit, 4 scenario/parse error, 1 unexpected failure or any sweep error row.
+Set MFSWIPT_LOG to a level name (debug, info, ...) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .correlation import (
     correlation_exact,
 )
 from .geometry import PolarLocation, fresnel_min_distance, rayleigh_distance
-from .metrics import sum_rate
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_hash, watts_to_dbm
 from .solvers import SolveStatus, SolverOptions
 
@@ -138,26 +137,10 @@ def _cmd_solve(args) -> int:
     start = time.perf_counter()
     report = run_scheme(scheme, mats, scn, opts)
     wall = (time.perf_counter() - start) * 1e3
-    y = report.allocation
-    solved = report.status is SolveStatus.OPTIMAL
-    row = ResultRow(
-        sweep_var="none",
-        sweep_value=math.nan,
-        scheme=scheme.value,
-        objective_w=report.objective,
-        objective_dbm=(
-            watts_to_dbm(report.objective) if solved and report.objective > 0 else None
-        ),
-        sum_rate_bpshz=sum_rate(mats, scn.sigma2, y) if solved else math.nan,
-        scheduled_mask=(
-            "".join("1" if b else "0" for b in y.scheduled_mask(scn.p0)) if solved else ""
-        ),
-        iterations=report.iterations,
-        status=report.status.value,
-        wall_ms=wall if args.timing else None,
-        seed=0,
+    row = ResultRow.from_report(
+        "none", math.nan, scheme.value, report, mats, scn, wall if args.timing else None
     )
-    alloc_str = " ".join(f"{p:.9e}" for p in y.powers)
+    alloc_str = " ".join(f"{p:.9e}" for p in report.allocation.powers)
     _write_rows(
         args.output,
         [row],
@@ -196,6 +179,13 @@ def _cmd_sweep(args) -> int:
             "variable": args.variable,
         },
     )
+    errors = [r.status for r in rows if r.status.startswith("Error:")]
+    if errors:
+        print(
+            f"sweep: {len(errors)} of {len(rows)} rows failed; first: {errors[0]}",
+            file=sys.stderr,
+        )
+        return EXIT_UNEXPECTED
     return EXIT_OK if any(r.status == SolveStatus.OPTIMAL.value for r in rows) else EXIT_INFEASIBLE
 
 

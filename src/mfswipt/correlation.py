@@ -110,13 +110,11 @@ class CorrelationMatrices:
     Slot order is [harvesters 0..K-1, decoders K..K+M-1].  `c_eh` carries
     alpha_k * zeta * g_k for harvester slots (zeros on decoder slots), so the
     weighted harvested sum-power of an allocation y is c_eh @ lambda_masked @ y.
-    `c_id` row m is zero except for the decoder gain g_m at slot K+m.
     """
 
     lambda_full: np.ndarray
     lambda_masked: np.ndarray
     c_eh: np.ndarray
-    c_id: np.ndarray
     g_eh: np.ndarray
     g_id: np.ndarray
     alpha: np.ndarray
@@ -172,15 +170,11 @@ def build_matrices(cfg: ArrayConfig, scenario: Scenario) -> CorrelationMatrices:
     g_id = np.array([channel_gain(cfg, loc) for loc in locs[k:]])
     alpha = np.array([r.weight for r in scenario.eh_receivers])
     c_eh = np.concatenate([alpha * scenario.zeta * g_eh, np.zeros(m)])
-    c_id = np.zeros((m, k + m))
-    for j in range(m):
-        c_id[j, k + j] = g_id[j]
 
     return CorrelationMatrices(
         lambda_full=lam,
         lambda_masked=masked,
         c_eh=c_eh,
-        c_id=c_id,
         g_eh=g_eh,
         g_id=g_id,
         alpha=alpha,

@@ -77,8 +77,9 @@ def id_rate(mats: CorrelationMatrices, sigma2, y, m: int) -> float:
     """
     yv = _as_vector(y)
     s2 = np.asarray(sigma2, dtype=float)
-    signal = float(mats.c_id[m] @ yv)
-    interference = float(mats.c_id[m] @ mats.lambda_masked @ yv)
+    g, slot = mats.g_id[m], mats.n_eh + m
+    signal = float(g * yv[slot])
+    interference = float((g * mats.lambda_masked[slot]) @ yv)
     return float(np.log2(1.0 + signal / (interference + s2[m])))
 
 

@@ -27,9 +27,10 @@ objective.  All routines are deterministic.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -186,11 +187,6 @@ class _Reduced:
     def interference(self, x: np.ndarray) -> np.ndarray:
         return self.brow @ x + self.sigma2
 
-    def sum_rate(self, x: np.ndarray) -> float:
-        if not self.act_ids:
-            return 0.0
-        return float(np.log2(1.0 + self.signal(x) / self.interference(x)).sum())
-
 
 def _full_mask(mats: CorrelationMatrices, mask) -> np.ndarray:
     if mask is None:
@@ -199,6 +195,43 @@ def _full_mask(mats: CorrelationMatrices, mask) -> np.ndarray:
     if mask.shape != (mats.n_slots,):
         raise ValueError(f"mask must have one entry per slot ({mats.n_slots})")
     return mask
+
+
+def _schedules(n: int):
+    """Every schedule of n slots as a boolean mask, in lexicographic order
+    (slot 0 is the most significant position), starting with the empty one."""
+    for bits in itertools.product((False, True), repeat=n):
+        yield np.array(bits)
+
+
+def _report(
+    mats: CorrelationMatrices,
+    scenario: Scenario,
+    y: np.ndarray,
+    scheme: str,
+    status: SolveStatus = SolveStatus.OPTIMAL,
+    trace: tuple | None = None,
+    iterations: int = 0,
+    kkt_norm: float | None = None,
+) -> SolveReport:
+    """Report of allocation y: its objective, and its rate and budget residuals
+    measured on y itself.  The trace defaults to the objective alone."""
+    obj = _objective(mats, y)
+    residuals = {
+        "rate_slack": sum_rate(mats, scenario.sigma2, y) - scenario.rate_floor,
+        "power_slack": scenario.p0 - float(y.sum()),
+    }
+    if kkt_norm is not None:
+        residuals["kkt_norm"] = kkt_norm
+    return SolveReport(
+        allocation=PowerAllocation(y),
+        objective=obj,
+        trace=(obj,) if trace is None else tuple(trace),
+        status=status,
+        residuals=residuals,
+        scheme=scheme,
+        iterations=iterations,
+    )
 
 
 def _infeasible_report(mats: CorrelationMatrices, scheme: str) -> SolveReport:
@@ -482,7 +515,7 @@ def inner_convex(
     mats: CorrelationMatrices,
     scenario: Scenario,
     mask=None,
-) -> tuple[PowerAllocation, SlackVars]:
+) -> PowerAllocation:
     """Solve one convexified round: maximize harvested power under the
     tangent lower bound on the sum-rate, the budget and nonnegativity.
 
@@ -491,8 +524,7 @@ def inner_convex(
     B(y), so they are eliminated exactly and the round is solved exactly
     over the allocation alone.  Raises NoFeasibleInterior when the bound
     cannot clear the floor, and when a decoder has no power at the expansion
-    point (its slack is infinite).  Returns the allocation and the slack
-    values at it.
+    point (its slack is infinite).
     """
     mask = _full_mask(mats, mask)
     red = _Reduced(mats, scenario, mask)
@@ -506,9 +538,7 @@ def inner_convex(
                 f"decoder {m} has a non-finite linearization slack (S={s}, I={i}): it has no power"
             )
     x = _solve_round(_BoundModel(red, point), red.w, red.rate_floor, red.p0)
-    y = red.embed(x)
-    slacks = SlackVars(s=1.0 / red.signal(x), i=red.interference(x))
-    return PowerAllocation(y), slacks
+    return PowerAllocation(red.embed(x))
 
 
 # ---------------------------------------------------------------------------
@@ -519,24 +549,28 @@ def _lp_report(
     mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray, scheme: str
 ) -> SolveReport:
     """Exact solution when the rate floor is absent: a linear program over the
-    simplex, optimized at the single active slot of highest priority."""
+    simplex, optimized at the single active slot of highest priority.
+
+    The report carries the stationarity/complementarity residual of the LP,
+    assembled numerically from the recovered multipliers: the budget price
+    tau is the best priority and the per-slot prices make the gradient
+    vanish; dual feasibility then requires every price >= 0.
+    """
     idx = np.where(mask)[0]
-    best = idx[int(np.argmax(mats.priorities[idx]))]
+    rho = mats.priorities[idx]
+    best = int(np.argmax(rho))
     y = np.zeros(mats.n_slots)
-    y[best] = scenario.p0
-    obj = _objective(mats, y)
-    return SolveReport(
-        allocation=PowerAllocation(y),
-        objective=obj,
-        trace=(obj,),
-        status=SolveStatus.OPTIMAL,
-        residuals={
-            "rate_slack": sum_rate(mats, scenario.sigma2, y) - scenario.rate_floor,
-            "power_slack": 0.0,
-        },
-        scheme=scheme,
-        iterations=0,
+    y[idx[best]] = scenario.p0
+    tau = rho[best]
+    mu = tau - rho
+    stationarity = -rho + tau - mu
+    kkt_norm = float(
+        np.linalg.norm(stationarity)
+        + abs(mu @ y[idx])
+        + np.linalg.norm(np.minimum(mu, 0.0))
+        + abs(y.sum() - scenario.p0)
     )
+    return _report(mats, scenario, y, scheme, kkt_norm=kkt_norm)
 
 
 def sca_solve(
@@ -578,7 +612,7 @@ def sca_solve(
         x = y[red.idx]
         point = SlackVars(s=1.0 / red.signal(x), i=red.interference(x))
         try:
-            alloc, _ = inner_convex(point, mats, scenario, mask)
+            alloc = inner_convex(point, mats, scenario, mask)
         except NoFeasibleInterior:
             status = SolveStatus.OPTIMAL
             iterations -= 1
@@ -591,20 +625,7 @@ def sca_solve(
             status = SolveStatus.OPTIMAL
             break
 
-    x = y[red.idx]
-    achieved = red.sum_rate(x)
-    return SolveReport(
-        allocation=PowerAllocation(y),
-        objective=_objective(mats, y),
-        trace=tuple(trace),
-        status=status,
-        residuals={
-            "rate_slack": achieved - scenario.rate_floor,
-            "power_slack": scenario.p0 - float(y.sum()),
-        },
-        scheme=scheme,
-        iterations=iterations,
-    )
+    return _report(mats, scenario, y, scheme, status, trace, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -615,42 +636,14 @@ def closed_form_eh_only(mats: CorrelationMatrices, scenario: Scenario) -> SolveR
     """Harvester-only allocation: the whole budget to the highest-priority harvester.
 
     Valid when no decoder is scheduled and the rate floor is zero.  The
-    report carries the stationarity/complementarity residual of the
-    underlying linear program, assembled numerically from the recovered
-    multipliers.
+    report carries the KKT residual of the underlying linear program.
     """
     k = mats.n_eh
     if k == 0:
         raise ValueError("no harvesters in the scenario")
     if mats.n_id > 0 and scenario.rate_floor > 0:
         raise ValueError("closed_form_eh_only needs a zero rate floor when decoders exist")
-    rho_vec = mats.priorities
-    rho = int(np.argmax(rho_vec[:k]))
-    y = np.zeros(mats.n_slots)
-    y[rho] = scenario.p0
-
-    # multipliers: budget price tau = best priority, per-slot prices make the
-    # gradient vanish; dual feasibility then requires every price >= 0
-    tau = rho_vec[rho]
-    mu = tau - rho_vec[:k]
-    stationarity = -rho_vec[:k] + tau - mu
-    comp_slack = mu @ y[:k]
-    kkt_norm = float(
-        np.linalg.norm(stationarity)
-        + abs(comp_slack)
-        + np.linalg.norm(np.minimum(mu, 0.0))
-        + abs(y.sum() - scenario.p0)
-    )
-    obj = _objective(mats, y)
-    return SolveReport(
-        allocation=PowerAllocation(y),
-        objective=obj,
-        trace=(obj,),
-        status=SolveStatus.OPTIMAL,
-        residuals={"rate_slack": 0.0, "power_slack": 0.0, "kkt_norm": kkt_norm},
-        scheme="eh_only",
-        iterations=0,
-    )
+    return _lp_report(mats, scenario, np.arange(mats.n_slots) < k, "eh_only")
 
 
 def closed_form_mixed(
@@ -705,27 +698,13 @@ def closed_form_mixed(
         ]
     )
     rate_residual = growth * (g * float(mats.lambda_masked[slot] @ y) + s2) - g * y[slot]
-    achieved = math.log2(1.0 + g * y[slot] / (g * float(mats.lambda_masked[slot] @ y) + s2))
     kkt_norm = float(
         np.linalg.norm(np.minimum(mu, 0.0))
         + abs(float(mu @ y[idx]))
         + abs(y.sum() - scenario.p0)
         + (abs(rate_residual) / max(g, 1e-300) if rho != slot else 0.0)
     )
-    obj = _objective(mats, y)
-    return SolveReport(
-        allocation=PowerAllocation(y),
-        objective=obj,
-        trace=(obj,),
-        status=SolveStatus.OPTIMAL,
-        residuals={
-            "rate_slack": achieved - scenario.rate_floor,
-            "power_slack": scenario.p0 - float(y.sum()),
-            "kkt_norm": kkt_norm,
-        },
-        scheme="mixed_closed_form",
-        iterations=0,
-    )
+    return _report(mats, scenario, y, "mixed_closed_form", kkt_norm=kkt_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -748,23 +727,12 @@ def exhaustive_search(
         raise ValueError(f"exhaustive search guard: {n} slots exceeds the 2^20 budget")
     best: SolveReport | None = None
     total_iters = 0
-    for code in range(2**n):
-        bits = [(code >> (n - 1 - p)) & 1 for p in range(n)]
-        mask = np.array(bits, dtype=bool)
-        schedule = "".join(map(str, bits))
+    for mask in _schedules(n):
+        schedule = "".join("01"[b] for b in mask.tolist())
         if not mask.any():
             log.debug("schedule %s -> empty", schedule)
-            if scenario.rate_floor <= 0 and best is None:
-                zero = PowerAllocation(np.zeros(n))
-                best = SolveReport(
-                    allocation=zero,
-                    objective=0.0,
-                    trace=(0.0,),
-                    status=SolveStatus.OPTIMAL,
-                    residuals={"rate_slack": 0.0, "power_slack": scenario.p0},
-                    scheme="exhaustive",
-                    iterations=0,
-                )
+            if scenario.rate_floor <= 0:
+                best = _report(mats, scenario, np.zeros(n), "exhaustive")
             continue
         if scenario.rate_floor > 0 and not mask[mats.n_eh :].any():
             log.debug("schedule %s -> skipped (no decoder under a positive floor)", schedule)
@@ -778,14 +746,6 @@ def exhaustive_search(
             continue
         if best is None or report.objective > best.objective:
             best = report
-    if best is None or best.status is not SolveStatus.OPTIMAL:
+    if best is None:
         return _infeasible_report(mats, "exhaustive")
-    return SolveReport(
-        allocation=best.allocation,
-        objective=best.objective,
-        trace=best.trace,
-        status=best.status,
-        residuals=best.residuals,
-        scheme="exhaustive",
-        iterations=total_iters,
-    )
+    return replace(best, iterations=total_iters)

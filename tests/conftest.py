@@ -57,13 +57,10 @@ def synthetic_single_decoder(
     zeta = 0.5
     alpha = np.ones(k)
     c_eh = np.concatenate([alpha * zeta * g_eh, [0.0]])
-    c_id = np.zeros((1, n))
-    c_id[0, k] = g_id[0]
     mats = CorrelationMatrices(
         lambda_full=lam,
         lambda_masked=masked,
         c_eh=c_eh,
-        c_id=c_id,
         g_eh=g_eh,
         g_id=g_id,
         alpha=alpha,
@@ -170,7 +167,8 @@ def interference_free_rate_bound(mats, scn):
 def achieved_sinr(mats, scn, y):
     out = []
     for m in range(mats.n_id):
-        sig = float(mats.c_id[m] @ y)
-        den = float(mats.c_id[m] @ mats.lambda_masked @ y) + scn.sigma2[m]
+        g, slot = mats.g_id[m], mats.n_eh + m
+        sig = float(g * y[slot])
+        den = float((g * mats.lambda_masked[slot]) @ y) + scn.sigma2[m]
         out.append(sig / den)
     return np.array(out)

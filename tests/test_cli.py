@@ -5,6 +5,7 @@ from mfswipt.cli import (
     EXIT_BAD_INPUT,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_UNEXPECTED,
     main,
 )
 
@@ -151,6 +152,30 @@ class TestSweep:
             ]
         )
         assert code == EXIT_INFEASIBLE
+
+    def test_error_rows_set_exit_code(self, tmp_path, capsys):
+        # the bundled scenario has 3 harvesters, so both grid points fail to build
+        out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep",
+                BUNDLED,
+                "--variable",
+                "K",
+                "--grid",
+                "1,2",
+                "--schemes",
+                "proposed,as_epa",
+                "--output",
+                str(out),
+            ]
+        )
+        assert code == EXIT_UNEXPECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "4 of 4 rows" in err[0] and "K grid value 1 below the base count 3" in err[0]
+        _, _, rows = read_table(out)
+        assert [r["status"].split(":")[0] for r in rows] == ["Error"] * 4
 
 
 class TestCorrelate:

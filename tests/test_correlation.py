@@ -226,7 +226,7 @@ class TestBuildMatrices:
         k = scn.n_eh
         assert np.allclose(np.diag(masked)[:k], 1.0)
         assert np.allclose(np.diag(masked)[k:], 0.0)
-        assert (mats.c_eh >= 0).all() and (mats.c_id >= 0).all()
+        assert (mats.c_eh >= 0).all() and (mats.g_id >= 0).all()
 
 
 class TestEhPriority:
@@ -240,7 +240,6 @@ class TestEhPriority:
             lambda_full=lam,
             lambda_masked=lam_masked,
             c_eh=np.asarray(c_eh, dtype=float),
-            c_id=np.zeros((n - k, n)),
             g_eh=np.asarray(c_eh[:k], dtype=float) * 2.0,
             g_id=np.ones(n - k),
             alpha=np.ones(k),

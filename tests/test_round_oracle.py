@@ -48,7 +48,7 @@ def solve_both(mats, scn, point):
     """(exact allocation, barrier allocation, bound model), or the raised
     NoFeasibleInterior in place of each allocation."""
     try:
-        exact = inner_convex(point, mats, scn)[0].powers
+        exact = inner_convex(point, mats, scn).powers
     except NoFeasibleInterior as exc:
         exact = exc
     try:
@@ -102,13 +102,10 @@ def two_harvester_round(coupling=0.05, rate_floor=4.0):
     lam[0, 2] = lam[2, 0] = coupling
     masked = lam.copy()
     masked[2, 2] = 0.0
-    c_id = np.zeros((1, 3))
-    c_id[0, 2] = 1e-9
     mats = CorrelationMatrices(
         lambda_full=lam,
         lambda_masked=masked,
         c_eh=np.array([2e-6, 1e-6, 0.0]),
-        c_id=c_id,
         g_eh=np.array([4e-6, 2e-6]),
         g_id=np.array([1e-9]),
         alpha=np.ones(2),
@@ -134,7 +131,7 @@ def test_optimum_splits_leftover_between_two_harvesters():
     assert model.value(exact) == pytest.approx(scn.rate_floor, abs=1e-9)
     assert objective(mats, exact) == pytest.approx(objective(mats, oracle), rel=1e-6)
     for keep in ([True, False, True], [False, True, True]):
-        alone = inner_convex(point, mats, scn, mask=np.array(keep))[0].powers
+        alone = inner_convex(point, mats, scn, mask=np.array(keep)).powers
         assert objective(mats, alone) < objective(mats, exact) * (1 - 1e-3)
 
 

@@ -31,6 +31,7 @@ from mfswipt import (
     sum_rate,
     weighted_sum_power,
 )
+from mfswipt.solvers import _schedules
 
 TIGHT = SolverOptions(convergence_threshold=1e-6)
 
@@ -159,9 +160,8 @@ class TestInnerConvex:
         mats = build_matrices(array256, scn)
         need = (2.0**4.0 - 1.0) * 1e-11 / mats.g_id[0]
         point = SlackVars(s=np.array([1.0 / (mats.g_id[0] * need)]), i=np.array([1e-11]))
-        alloc, slacks = inner_convex(point, mats, scn)
+        alloc = inner_convex(point, mats, scn)
         assert alloc.powers[0] == pytest.approx(need, rel=1e-5)
-        assert slacks.s[0] > 0 and slacks.i[0] > 0
 
     def test_decoder_only_fixed_point_from_elsewhere(self, array256):
         # iterating round + slack refresh walks the tangent solutions onto
@@ -179,7 +179,7 @@ class TestInnerConvex:
         x = 0.5
         for _ in range(12):
             point = SlackVars(s=np.array([1.0 / (mats.g_id[0] * x)]), i=np.array([1e-11]))
-            alloc, _ = inner_convex(point, mats, scn)
+            alloc = inner_convex(point, mats, scn)
             x = float(alloc.powers[0])
         assert x == pytest.approx(need, rel=1e-4)
 
@@ -191,11 +191,12 @@ class TestInnerConvex:
             assert feas.feasible
             y0 = feas.id_allocation.powers
             red_ids = [0, 1]
-            s = np.array([1.0 / float(mats.c_id[m] @ y0) for m in red_ids])
+            g, k = mats.g_id, mats.n_eh
+            s = np.array([1.0 / float(g[m] * y0[k + m]) for m in red_ids])
             i = np.array(
-                [float(mats.c_id[m] @ mats.lambda_masked @ y0) + scn.sigma2[m] for m in red_ids]
+                [float((g[m] * mats.lambda_masked[k + m]) @ y0) + scn.sigma2[m] for m in red_ids]
             )
-            alloc, _ = inner_convex(SlackVars(s=s, i=i), mats, scn)
+            alloc = inner_convex(SlackVars(s=s, i=i), mats, scn)
             y = alloc.powers
             assert (y >= 0).all()
             assert y.sum() <= scn.p0 * (1 + 1e-7)
@@ -408,6 +409,12 @@ class TestClosedFormMixed:
 
 
 class TestExhaustiveSearch:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_schedules_count_in_binary(self, n):
+        # the tie-break relies on this order: slot 0 is the most significant bit
+        order = [mask.tolist() for mask in _schedules(n)]
+        assert order == [[bool(code >> (n - 1 - p) & 1) for p in range(n)] for code in range(2**n)]
+
     def test_single_harvester_matches_closed_form(self, array256):
         scn = Scenario(
             eh_receivers=(Receiver(PolarLocation(0.0, 10.0)),),
@@ -452,7 +459,6 @@ class TestExhaustiveSearch:
                     lambda_full=np.eye(22),
                     lambda_masked=np.eye(22),
                     c_eh=np.ones(22),
-                    c_id=np.zeros((1, 22)),
                     g_eh=np.ones(21),
                 ),
                 big,
