@@ -58,10 +58,8 @@ from .scenario import (
     watts_to_dbm,
 )
 from .solvers import (
-    FeasibilityResult,
     NoFeasibleInterior,
     RateMaxResult,
-    SlackVars,
     SolveReport,
     SolveStatus,
     SolverNumericalError,
@@ -69,7 +67,6 @@ from .solvers import (
     closed_form_eh_only,
     closed_form_mixed,
     exhaustive_search,
-    feasibility_check,
     fp_rate_max,
     inner_convex,
     sca_solve,
@@ -117,14 +114,11 @@ __all__ = [
     "nonlinear_eh",
     "SolveStatus",
     "SolverOptions",
-    "SlackVars",
     "SolveReport",
     "RateMaxResult",
-    "FeasibilityResult",
     "SolverNumericalError",
     "NoFeasibleInterior",
     "fp_rate_max",
-    "feasibility_check",
     "inner_convex",
     "sca_solve",
     "closed_form_eh_only",

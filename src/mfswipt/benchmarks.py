@@ -34,6 +34,11 @@ from .solvers import (
 
 __all__ = ["SchemeId", "SweepSpec", "ResultRow", "run_scheme", "run_sweep"]
 
+# where receiver-count sweeps draw their added receivers (see SweepSpec)
+_EH_ANNULUS = (0.015, 0.3)
+_ID_ANNULUS = (1.05, 1.3)
+_ANGLE_HALFWIDTH = math.pi / 3.0
+
 
 class SchemeId(Enum):
     PROPOSED = "proposed"
@@ -113,19 +118,16 @@ class SweepSpec:
     For receiver-count sweeps the extra receivers beyond the base scenario
     are drawn once per Monte-Carlo draw from a seeded generator: uniform
     physical angle within +-60 degrees of broadside (converted to the
-    spatial-angle coordinate) and uniform radius inside the stated
-    Z-multiple annulus.  Grid point K reuses the first K - K_base of those
-    draws, so successive points nest.  Added decoders inherit the first
-    decoder's noise power.
+    spatial-angle coordinate) and uniform radius inside a Z-multiple
+    annulus, 0.015-0.3 Z for harvesters and 1.05-1.3 Z for decoders.  Grid
+    point K reuses the first K - K_base of those draws, so successive points
+    nest.  Added decoders inherit the first decoder's noise power.
     """
 
     variable: str
     grid: tuple
     seed: int = 0
     draws: int = 1
-    eh_annulus: tuple[float, float] = (0.015, 0.3)
-    id_annulus: tuple[float, float] = (1.05, 1.3)
-    angle_halfwidth: float = math.pi / 3.0
     record_timing: bool = False
 
     def __post_init__(self):
@@ -196,14 +198,9 @@ class ResultRow:
         )
 
 
-def _draw_receiver(
-    rng: np.random.Generator,
-    cfg: ArrayConfig,
-    annulus: tuple[float, float],
-    halfwidth: float,
-) -> Receiver:
+def _draw_receiver(rng: np.random.Generator, cfg: ArrayConfig, annulus: tuple) -> Receiver:
     z = rayleigh_distance(cfg)
-    phi = math.pi / 2.0 + rng.uniform(-halfwidth, halfwidth)
+    phi = math.pi / 2.0 + rng.uniform(-_ANGLE_HALFWIDTH, _ANGLE_HALFWIDTH)
     theta = aod_to_spatial_angle(cfg, phi)
     r = rng.uniform(annulus[0] * z, annulus[1] * z)
     return Receiver(location=PolarLocation(spatial_angle=theta, distance=r))
@@ -259,16 +256,10 @@ def run_sweep(
         extra_id: list[Receiver] = []
         if spec.variable == "K":
             n_extra = max(int(v) for v in spec.grid) - base_scenario.n_eh
-            extra_eh = [
-                _draw_receiver(rng, cfg, spec.eh_annulus, spec.angle_halfwidth)
-                for _ in range(max(n_extra, 0))
-            ]
+            extra_eh = [_draw_receiver(rng, cfg, _EH_ANNULUS) for _ in range(max(n_extra, 0))]
         elif spec.variable == "M":
             n_extra = max(int(v) for v in spec.grid) - base_scenario.n_id
-            extra_id = [
-                _draw_receiver(rng, cfg, spec.id_annulus, spec.angle_halfwidth)
-                for _ in range(max(n_extra, 0))
-            ]
+            extra_id = [_draw_receiver(rng, cfg, _ID_ANNULUS) for _ in range(max(n_extra, 0))]
         for value in spec.grid:
             try:
                 scenario = _scenario_for_point(

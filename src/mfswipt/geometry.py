@@ -24,7 +24,6 @@ __all__ = [
     "FresnelRegionWarning",
     "rayleigh_distance",
     "fresnel_min_distance",
-    "element_offsets",
     "element_distance",
     "element_distance_taylor",
     "near_steering",
@@ -105,12 +104,6 @@ def rayleigh_distance(cfg: ArrayConfig) -> float:
 def fresnel_min_distance(cfg: ArrayConfig) -> float:
     """Inner edge of the radiative Fresnel region, max(sqrt(D^3/lambda)/2, 1.2*D)."""
     return max(0.5 * math.sqrt(cfg.D**3 / cfg.wavelength), 1.2 * cfg.D)
-
-
-def element_offsets(cfg: ArrayConfig) -> np.ndarray:
-    """Signed element indices delta_n = (2n - N + 1)/2 for n = 0..N-1."""
-    n = np.arange(cfg.n_antennas)
-    return (2.0 * n - cfg.n_antennas + 1.0) / 2.0
 
 
 def element_distance(cfg: ArrayConfig, loc: PolarLocation, n) -> np.ndarray | float:

@@ -9,11 +9,11 @@ continuous vector y.
 Solvers provided:
 
 * `fp_rate_max` - decoder-only sum-rate maximization by alternating
-  closed-form ratio updates with an exactly solvable water-filling step;
-  doubles as the feasibility oracle for the rate floor.
-* `sca_solve` - outer linearization of the rate constraint around slack
-  variables, each round solved exactly by `inner_convex` through the
-  round's Lagrange dual in a rate price and a budget price.
+  closed-form ratio updates with an exactly solvable water-filling step.
+* `sca_solve` - outer linearization of the rate constraint, each round
+  expanded at the previous allocation and solved exactly by `inner_convex`
+  through the round's Lagrange dual in a rate price and a budget price.
+  A floor above the maximum sum-rate of `fp_rate_max` is infeasible.
 * `closed_form_eh_only`, `closed_form_mixed` - stationarity-derived exact
   solutions for the harvester-only and single-decoder cases, with KKT
   residuals reported.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -42,14 +43,11 @@ from .scenario import Scenario
 __all__ = [
     "SolveStatus",
     "SolverOptions",
-    "SlackVars",
     "SolveReport",
     "RateMaxResult",
-    "FeasibilityResult",
     "SolverNumericalError",
     "NoFeasibleInterior",
     "fp_rate_max",
-    "feasibility_check",
     "inner_convex",
     "sca_solve",
     "closed_form_eh_only",
@@ -61,6 +59,12 @@ log = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 
+# slack (bps/Hz) allowed when comparing the maximum sum-rate with the floor
+FEASIBILITY_TOLERANCE = 1e-7
+# relative sum-rate change that stops the fractional-programming iteration
+FP_TOLERANCE = 1e-11
+MAX_FP_ITERS = 3000
+
 
 class SolveStatus(Enum):
     OPTIMAL = "Optimal"
@@ -70,41 +74,19 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and iteration limits shared by every solver.
-
-    convergence_threshold is the fractional objective increase below which
-    the outer linearization loop stops.  feasibility_tolerance is the slack
-    (bps/Hz) allowed when comparing the maximum sum-rate with the floor;
-    fp_tolerance and max_fp_iters stop the fractional-programming rate
-    maximization.
-    """
+    """Stopping rule of the outer linearization loop: it stops when the
+    fractional objective increase falls below convergence_threshold, or
+    after max_outer_iters rounds."""
 
     convergence_threshold: float = 1e-3
     max_outer_iters: int = 50
-    feasibility_tolerance: float = 1e-7
-    fp_tolerance: float = 1e-11
-    max_fp_iters: int = 3000
 
     def __post_init__(self):
-        for name in ("convergence_threshold", "feasibility_tolerance", "fp_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-
-
-@dataclass(frozen=True)
-class SlackVars:
-    """Reciprocal-signal and interference slack values, one pair per active decoder."""
-
-    s: np.ndarray
-    i: np.ndarray
-
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        i = np.atleast_1d(np.asarray(self.i, dtype=float))
-        if (s <= 0).any() or (i <= 0).any():
-            raise ValueError("slack variables must be positive")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "i", i)
+        t, n = self.convergence_threshold, self.max_outer_iters
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t < math.inf:
+            raise ValueError(f"convergence_threshold must be a finite number > 0, got {t!r}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_outer_iters must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -124,13 +106,6 @@ class RateMaxResult:
     allocation: PowerAllocation
     gamma: np.ndarray
     iterations: int
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    r_star: float
-    id_allocation: PowerAllocation
 
 
 class SolverNumericalError(RuntimeError):
@@ -254,12 +229,7 @@ def _objective(mats: CorrelationMatrices, y: np.ndarray) -> float:
 # decoder-only rate maximization (fractional programming)
 
 
-def fp_rate_max(
-    mats: CorrelationMatrices,
-    scenario: Scenario,
-    opts: SolverOptions = SolverOptions(),
-    mask=None,
-) -> RateMaxResult:
+def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> RateMaxResult:
     """Maximize the decoder sum-rate with harvester powers pinned to zero.
 
     Alternates three exact updates until the sum-rate stalls: the ratio
@@ -291,7 +261,7 @@ def fp_rate_max(
 
     prev, a, b = eval_rate(x)
     iters = 0
-    for iters in range(1, opts.max_fp_iters + 1):
+    for iters in range(1, MAX_FP_ITERS + 1):
         gamma = a / b
         z = np.sqrt((1.0 + gamma) * a) / (a + b)
         u = z * np.sqrt((1.0 + gamma) * g)
@@ -304,7 +274,7 @@ def fp_rate_max(
         else:
             x = _water_fill(u, w, p0)
         cur, a, b = eval_rate(x)
-        if abs(cur - prev) <= opts.fp_tolerance * max(1.0, abs(prev)):
+        if abs(cur - prev) <= FP_TOLERANCE * max(1.0, abs(prev)):
             prev = cur
             break
         prev = cur
@@ -338,25 +308,6 @@ def _water_fill(u: np.ndarray, w: np.ndarray, p0: float) -> np.ndarray:
     return x * (p0 / s)
 
 
-def feasibility_check(
-    mats: CorrelationMatrices,
-    scenario: Scenario,
-    opts: SolverOptions = SolverOptions(),
-    mask=None,
-) -> FeasibilityResult:
-    """Rate floor attainable?  Compares the decoder-only maximum sum-rate against it."""
-    mask = _full_mask(mats, mask)
-    act_any = mask[mats.n_eh :].any()
-    if not act_any:
-        zero = PowerAllocation(np.zeros(mats.n_slots))
-        return FeasibilityResult(
-            feasible=scenario.rate_floor <= opts.feasibility_tolerance, r_star=0.0, id_allocation=zero
-        )
-    res = fp_rate_max(mats, scenario, opts, mask)
-    feasible = res.r_star >= scenario.rate_floor - opts.feasibility_tolerance
-    return FeasibilityResult(feasible=feasible, r_star=res.r_star, id_allocation=res.allocation)
-
-
 # ---------------------------------------------------------------------------
 # convexified subproblem: exact solve through the two-multiplier dual
 
@@ -385,14 +336,14 @@ class _BoundModel:
     to 0 because it has almost no power at the expansion point.
     """
 
-    def __init__(self, red: _Reduced, point: SlackVars):
-        a, b, c0 = _bound_coeffs(point.s, point.i)
+    def __init__(self, red: _Reduced, s: np.ndarray, i: np.ndarray):
+        a, b, c0 = _bound_coeffs(s, i)
         alpha = a / red.gain
         self.pos = red.pos[alpha > 0]
         self.alpha = alpha[alpha > 0]
         self.free = np.setdiff1d(np.arange(red.n), self.pos)
         self.c = b @ red.brow
-        self.const = float((c0 + a * point.s + b * (point.i - red.sigma2)).sum())
+        self.const = float((c0 + a * s + b * (i - red.sigma2)).sum())
 
     def value(self, x: np.ndarray) -> float:
         return self.const - float((self.alpha / x[self.pos]).sum()) - float(self.c @ x)
@@ -511,33 +462,34 @@ def _solve_round(model: _BoundModel, w: np.ndarray, floor: float, p0: float) -> 
 
 
 def inner_convex(
-    point: SlackVars,
+    y: np.ndarray,
     mats: CorrelationMatrices,
     scenario: Scenario,
     mask=None,
 ) -> PowerAllocation:
-    """Solve one convexified round: maximize harvested power under the
-    tangent lower bound on the sum-rate, the budget and nonnegativity.
+    """Solve one convexified round expanded at allocation y: maximize
+    harvested power under the tangent lower bound on the sum-rate, the
+    budget and nonnegativity.
 
-    The slack pair (S, I) of each decoder enters the objective nowhere and
-    the bound monotonically prefers both at their lower limits 1/A(y) and
-    B(y), so they are eliminated exactly and the round is solved exactly
-    over the allocation alone.  Raises NoFeasibleInterior when the bound
-    cannot clear the floor, and when a decoder has no power at the expansion
-    point (its slack is infinite).
+    The bound is expanded at the slacks of y, S = 1/A(y) and I = B(y).  The
+    slack pair of each decoder enters the objective nowhere and the bound
+    monotonically prefers both at those lower limits, so they are eliminated
+    exactly and the round is solved exactly over the allocation alone.
+    Raises NoFeasibleInterior when the bound cannot clear the floor, and
+    when a decoder has no power at y (its slack is infinite).
     """
     mask = _full_mask(mats, mask)
     red = _Reduced(mats, scenario, mask)
-    if len(red.act_ids) != len(point.s):
-        raise ValueError(
-            f"linearization point has {len(point.s)} slack pairs for {len(red.act_ids)} active decoders"
-        )
-    for m, s, i in zip(red.act_ids, point.s, point.i):
-        if not (math.isfinite(s) and math.isfinite(i)):
+    x = np.asarray(y, dtype=float)[red.idx]
+    with np.errstate(divide="ignore"):
+        s = 1.0 / red.signal(x)
+    i = red.interference(x)
+    for m, s_m, i_m in zip(red.act_ids, s, i):
+        if not (math.isfinite(s_m) and math.isfinite(i_m)):
             raise NoFeasibleInterior(
-                f"decoder {m} has a non-finite linearization slack (S={s}, I={i}): it has no power"
+                f"decoder {m} has a non-finite linearization slack (S={s_m}, I={i_m}): it has no power"
             )
-    x = _solve_round(_BoundModel(red, point), red.w, red.rate_floor, red.p0)
+    x = _solve_round(_BoundModel(red, s, i), red.w, red.rate_floor, red.p0)
     return PowerAllocation(red.embed(x))
 
 
@@ -584,8 +536,8 @@ def sca_solve(
 
     Starts from the decoder-only rate-maximizing allocation (feasible
     whenever the problem is), then repeats: expand the rate bound at the
-    current slacks, solve the convexified round, move to its optimum.  Each
-    round's feasible region contains the previous optimum and the bound
+    current allocation, solve the convexified round, move to its optimum.
+    Each round's feasible region contains the previous optimum and the bound
     touches the true rate there, so the objective trace is non-decreasing;
     the loop stops when the fractional increase falls under the threshold.
     """
@@ -593,26 +545,24 @@ def sca_solve(
     red = _Reduced(mats, scenario, mask)
 
     if not red.act_ids:
-        if scenario.rate_floor > opts.feasibility_tolerance:
+        if scenario.rate_floor > FEASIBILITY_TOLERANCE:
             return _infeasible_report(mats, scheme)
         return _lp_report(mats, scenario, mask, scheme)
     if scenario.rate_floor <= 0:
         # the rate constraint is vacuous for nonnegative allocations
         return _lp_report(mats, scenario, mask, scheme)
 
-    feas = feasibility_check(mats, scenario, opts, mask)
-    if not feas.feasible:
+    best = fp_rate_max(mats, scenario, mask)
+    if not best.r_star >= scenario.rate_floor - FEASIBILITY_TOLERANCE:  # NaN is infeasible
         return _infeasible_report(mats, scheme)
 
-    y = feas.id_allocation.powers.copy()
+    y = best.allocation.powers.copy()
     trace = [_objective(mats, y)]
     status = SolveStatus.ITER_LIMIT
     iterations = 0
     for iterations in range(1, opts.max_outer_iters + 1):
-        x = y[red.idx]
-        point = SlackVars(s=1.0 / red.signal(x), i=red.interference(x))
         try:
-            alloc = inner_convex(point, mats, scenario, mask)
+            alloc = inner_convex(y, mats, scenario, mask)
         except NoFeasibleInterior:
             status = SolveStatus.OPTIMAL
             iterations -= 1
@@ -635,14 +585,15 @@ def sca_solve(
 def closed_form_eh_only(mats: CorrelationMatrices, scenario: Scenario) -> SolveReport:
     """Harvester-only allocation: the whole budget to the highest-priority harvester.
 
-    Valid when no decoder is scheduled and the rate floor is zero.  The
-    report carries the KKT residual of the underlying linear program.
+    Valid when the rate floor is zero: no decoder is scheduled, so no
+    positive floor can be met.  The report carries the KKT residual of the
+    underlying linear program.
     """
     k = mats.n_eh
     if k == 0:
         raise ValueError("no harvesters in the scenario")
-    if mats.n_id > 0 and scenario.rate_floor > 0:
-        raise ValueError("closed_form_eh_only needs a zero rate floor when decoders exist")
+    if scenario.rate_floor > 0:
+        raise ValueError("closed_form_eh_only needs a zero rate floor")
     return _lp_report(mats, scenario, np.arange(mats.n_slots) < k, "eh_only")
 
 

@@ -24,13 +24,14 @@ BARRIER_GAP = 1e-9
 
 
 class BoundModel:
-    """G(y), gradient and Hessian data for the linearized rate bound."""
+    """G(y), gradient and Hessian data for the rate bound linearized at the
+    slacks S = 1/A(x0), I = B(x0) of the expansion point x0."""
 
-    def __init__(self, red: _Reduced, point):
+    def __init__(self, red: _Reduced, x0: np.ndarray):
         self.red = red
-        self.a, self.b, self.c0 = _bound_coeffs(point.s, point.i)
-        self.s_tilde = point.s
-        self.i_tilde = point.i
+        self.s_tilde = 1.0 / red.signal(x0)
+        self.i_tilde = red.interference(x0)
+        self.a, self.b, self.c0 = _bound_coeffs(self.s_tilde, self.i_tilde)
         # constant part of the gradient: the interference rows enter linearly
         self.grad_lin = -(self.b[:, None] * red.brow).sum(axis=0)
 
@@ -155,15 +156,16 @@ def barrier_maximize(red: _Reduced, model: BoundModel, x0: np.ndarray) -> np.nda
         t *= BARRIER_MU
 
 
-def barrier_round(point, mats, scenario, mask=None):
-    """One round solved by the barrier: returns (full allocation vector, bound
-    model) or raises NoFeasibleInterior like `inner_convex`, also where a
-    decoder has no power at the expansion point (an infinite slack; the bound
-    there evaluated to NaN, so the interior search never succeeded)."""
-    if not (np.isfinite(point.s).all() and np.isfinite(point.i).all()):
-        raise NoFeasibleInterior("a decoder has no power at the expansion point")
+def barrier_round(y, mats, scenario, mask=None):
+    """One round expanded at allocation y, solved by the barrier: returns
+    (full allocation vector, bound model) or raises NoFeasibleInterior like
+    `inner_convex`, also where a decoder has no power at y (an infinite slack;
+    the bound there evaluated to NaN, so the interior search never succeeded)."""
     mask = np.ones(mats.n_slots, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     red = _Reduced(mats, scenario, mask)
-    model = BoundModel(red, point)
+    with np.errstate(divide="ignore"):
+        model = BoundModel(red, np.asarray(y, dtype=float)[red.idx])
+    if not (np.isfinite(model.s_tilde).all() and np.isfinite(model.i_tilde).all()):
+        raise NoFeasibleInterior("a decoder has no power at the expansion point")
     x = barrier_maximize(red, model, interior_start(red, model))
     return red.embed(x), model

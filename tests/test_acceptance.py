@@ -46,6 +46,7 @@ from mfswipt import (
     watts_to_dbm,
     weighted_sum_power,
 )
+from mfswipt.solvers import FEASIBILITY_TOLERANCE
 
 
 @contextmanager
@@ -153,7 +154,6 @@ def test_c06_sca_convergence_on_reference(reference_setup, floor):
     names = " and ".join(f"{watts_to_dbm(p0):g}" for p0 in budgets)
     title = f"convexification loop converges within 10 rounds at R={floor:g}, P0 = {names} dBm"
     with criterion(6, title):
-        opts = SolverOptions()
         for p0 in budgets:
             case = dataclasses.replace(scn, p0=p0, rate_floor=floor)
             bound = interference_free_rate_bound(mats, case)
@@ -162,7 +162,7 @@ def test_c06_sca_convergence_on_reference(reference_setup, floor):
                 f"R={floor:g} at P0={watts_to_dbm(p0):g} dBm (interference-free bound "
                 f"{bound:.2f}, grid-oracle maximum {best:.2f} bps/Hz)"
             )
-            report = sca_solve(mats, case, opts)
+            report = sca_solve(mats, case)
             if bound < floor:
                 assert report.status is SolveStatus.INFEASIBLE, (
                     f"{where} is unattainable but status={report.status.value}"
@@ -171,7 +171,7 @@ def test_c06_sca_convergence_on_reference(reference_setup, floor):
                 assert report.iterations == 0
                 assert report.trace == ()
                 assert not report.allocation.powers.any()
-                assert fp_rate_max(mats, case, opts).r_star < floor
+                assert fp_rate_max(mats, case).r_star < floor
             elif best >= floor:
                 assert report.status is SolveStatus.OPTIMAL, (
                     f"{where} not solved: status={report.status.value}"
@@ -182,7 +182,7 @@ def test_c06_sca_convergence_on_reference(reference_setup, floor):
                     b >= a - 1e-9 * scale for a, b in zip(report.trace, report.trace[1:])
                 ), f"{where}: objective trace decreased"
                 achieved = sum_rate(mats, case.sigma2, report.allocation)
-                assert achieved >= floor - opts.feasibility_tolerance, (
+                assert achieved >= floor - FEASIBILITY_TOLERANCE, (
                     f"{where}: allocation reaches only {achieved:.6f} bps/Hz"
                 )
                 assert report.allocation.total <= p0 * (1 + 1e-9), f"{where}: over budget"

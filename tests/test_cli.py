@@ -1,5 +1,7 @@
 import logging
 
+import pytest
+
 from mfswipt import bundled_scenario_path
 from mfswipt.cli import (
     EXIT_BAD_INPUT,
@@ -36,12 +38,34 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_BAD_INPUT
         assert "bogus_key" in capsys.readouterr().err
 
-    def test_unknown_solver_option(self, tmp_path, capsys):
-        # check rejects the solver block exactly as solve does
+    @pytest.mark.parametrize(
+        "key", ["barrier_mu", "fp_tolerance", "max_fp_iters", "feasibility_tolerance"]
+    )
+    def test_unknown_solver_option(self, tmp_path, capsys, key):
+        # check rejects the solver block exactly as solve does; the solver
+        # accepts only convergence_threshold and max_outer_iters
         bad = tmp_path / "bad.scenario"
-        bad.write_text(bundled_scenario_path().read_text() + "  barrier_mu: 20.0\n")
+        bad.write_text(bundled_scenario_path().read_text() + f"  {key}: 20.0\n")
         assert main(["check", str(bad)]) == EXIT_BAD_INPUT
-        assert "barrier_mu" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
+        assert main(["solve", str(bad)]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "max_outer_iters: 0",
+            "max_outer_iters: -1",
+            "max_outer_iters: 2.5",
+            "convergence_threshold: .nan",
+        ],
+        ids=["iters_zero", "iters_negative", "iters_fraction", "threshold_nan"],
+    )
+    def test_bad_solver_value(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.scenario"
+        text = bundled_scenario_path().read_text()
+        bad.write_text(text.replace("convergence_threshold: 0.001", line))
+        assert main(["check", str(bad)]) == EXIT_BAD_INPUT
+        assert line.split(":")[0] in capsys.readouterr().err
         assert main(["solve", str(bad)]) == EXIT_BAD_INPUT
 
 

@@ -18,7 +18,6 @@ from mfswipt import (
     PolarLocation,
     Receiver,
     Scenario,
-    SlackVars,
     dbm_to_watts,
     fp_rate_max,
     inner_convex,
@@ -28,15 +27,6 @@ from mfswipt.solvers import _water_fill
 P0_DBM = (20.0, 44.0)
 
 
-def slack_point(mats, scn, y):
-    """Linearization point of the rate bound at allocation y."""
-    k = mats.n_eh
-    signal = mats.g_id * y[k:]  # 0 for a decoder without power: infinite slack
-    interference = mats.g_id * (mats.lambda_masked[k:] @ y) + np.asarray(scn.sigma2)
-    with np.errstate(divide="ignore"):
-        return SlackVars(s=1.0 / signal, i=interference)
-
-
 def objective(mats, y):
     """What the round maximizes: harvested power, or, when every weight is
     zero, minus the total power (the least-power tie-break)."""
@@ -44,15 +34,16 @@ def objective(mats, y):
     return float(w @ y) if w.max() > 0 else -float(y.sum())
 
 
-def solve_both(mats, scn, point):
-    """(exact allocation, barrier allocation, bound model), or the raised
-    NoFeasibleInterior in place of each allocation."""
+def solve_both(mats, scn, y):
+    """(exact allocation, barrier allocation, bound model) of the round
+    expanded at y, or the raised NoFeasibleInterior in place of each
+    allocation."""
     try:
-        exact = inner_convex(point, mats, scn).powers
+        exact = inner_convex(y, mats, scn).powers
     except NoFeasibleInterior as exc:
         exact = exc
     try:
-        oracle, model = barrier_round(point, mats, scn)
+        oracle, model = barrier_round(y, mats, scn)
     except NoFeasibleInterior as exc:
         oracle, model = exc, None
     return exact, oracle, model
@@ -81,7 +72,7 @@ def test_exact_round_agrees_with_barrier(array256, seed, n_eh, n_id, p0_dbm, flo
         y[n_eh:] *= np.exp(rng.uniform(-1.5, 1.5, n_id))
         y[:n_eh] = rng.uniform(0.0, 0.5 * p0 / max(n_eh, 1), n_eh)
         y *= min(1.0, p0 / y.sum())
-    exact, oracle, model = solve_both(mats, scn, slack_point(mats, scn, y))
+    exact, oracle, model = solve_both(mats, scn, y)
 
     if isinstance(oracle, NoFeasibleInterior) or isinstance(exact, NoFeasibleInterior):
         assert type(exact) is type(oracle), f"exact {exact!r}, barrier {oracle!r}"
@@ -118,28 +109,29 @@ def two_harvester_round(coupling=0.05, rate_floor=4.0):
         p0=1.0,
         rate_floor=rate_floor,
     )
-    return mats, scn, slack_point(mats, scn, np.array([0.0, 0.0, 1.0]))
+    return mats, scn, np.array([0.0, 0.0, 1.0])
 
 
 def test_optimum_splits_leftover_between_two_harvesters():
     # at the optimal rate price both harvesters have the same reduced cost;
     # giving the whole leftover to either one alone is strictly worse
-    mats, scn, point = two_harvester_round()
-    exact, oracle, model = solve_both(mats, scn, point)
+    mats, scn, y = two_harvester_round()
+    exact, oracle, model = solve_both(mats, scn, y)
     assert exact[0] > 0.1 and exact[1] > 0.1
     assert exact.sum() == pytest.approx(scn.p0, rel=1e-12)
     assert model.value(exact) == pytest.approx(scn.rate_floor, abs=1e-9)
     assert objective(mats, exact) == pytest.approx(objective(mats, oracle), rel=1e-6)
     for keep in ([True, False, True], [False, True, True]):
-        alone = inner_convex(point, mats, scn, mask=np.array(keep)).powers
+        alone = inner_convex(y, mats, scn, mask=np.array(keep)).powers
         assert objective(mats, alone) < objective(mats, exact) * (1 - 1e-3)
 
 
 def test_zero_power_decoder_is_named(reference_setup):
     _, scn, mats = reference_setup
-    point = SlackVars(s=np.array([1e9, np.inf]), i=np.array([1e-11, 1e-11]))
+    y = np.zeros(mats.n_slots)
+    y[mats.n_eh] = scn.p0  # decoder 0 takes the budget, decoder 1 has no power
     with pytest.raises(NoFeasibleInterior, match="decoder 1"):
-        inner_convex(point, mats, scn)
+        inner_convex(y, mats, scn)
 
 
 def water_fill_by_bisection(u, w, p0):

@@ -15,7 +15,6 @@ from mfswipt import (
     PolarLocation,
     Receiver,
     Scenario,
-    SlackVars,
     SolveStatus,
     SolverOptions,
     build_matrices,
@@ -23,7 +22,6 @@ from mfswipt import (
     closed_form_mixed,
     eh_priority,
     exhaustive_search,
-    feasibility_check,
     fp_rate_max,
     inner_convex,
     rayleigh_distance,
@@ -31,7 +29,7 @@ from mfswipt import (
     sum_rate,
     weighted_sum_power,
 )
-from mfswipt.solvers import _schedules
+from mfswipt.solvers import FEASIBILITY_TOLERANCE, _schedules
 
 TIGHT = SolverOptions(convergence_threshold=1e-6)
 
@@ -106,7 +104,7 @@ class TestFeasibilityCheck:
     def test_zero_floor_always_feasible(self, reference_setup):
         _, scn, mats = reference_setup
         relaxed = dataclasses.replace(scn, rate_floor=0.0)
-        assert feasibility_check(mats, relaxed).feasible
+        assert sca_solve(mats, relaxed).status is SolveStatus.OPTIMAL
 
     def test_single_decoder_threshold(self, array256):
         z = rayleigh_distance(array256)
@@ -119,16 +117,16 @@ class TestFeasibilityCheck:
         )
         mats = build_matrices(array256, base)
         cap = math.log2(1 + mats.g_id[0] / 1e-11)
-        ok = feasibility_check(mats, dataclasses.replace(base, rate_floor=cap - 0.01))
-        bad = feasibility_check(mats, dataclasses.replace(base, rate_floor=cap + 0.01))
-        assert ok.feasible and not bad.feasible
-        assert ok.r_star == pytest.approx(cap, abs=1e-9)
+        ok = sca_solve(mats, dataclasses.replace(base, rate_floor=cap - 0.01))
+        bad = sca_solve(mats, dataclasses.replace(base, rate_floor=cap + 0.01))
+        assert ok.status is SolveStatus.OPTIMAL and bad.status is SolveStatus.INFEASIBLE
+        assert fp_rate_max(mats, base).r_star == pytest.approx(cap, abs=1e-9)
 
     def test_reference_max_rate_vs_grid(self, reference_setup):
         _, scn, mats = reference_setup
-        res = feasibility_check(mats, scn)
+        res = fp_rate_max(mats, scn)
         grid_best = simplex_grid_best_rate(mats, scn)
-        assert res.feasible
+        assert res.r_star >= scn.rate_floor - FEASIBILITY_TOLERANCE
         assert abs(res.r_star - grid_best) <= 0.01
 
     def test_no_decoders(self, array256):
@@ -140,8 +138,9 @@ class TestFeasibilityCheck:
             rate_floor=1.0,
         )
         mats = build_matrices(array256, scn)
-        res = feasibility_check(mats, scn)
-        assert not res.feasible and res.r_star == 0.0
+        assert sca_solve(mats, scn).status is SolveStatus.INFEASIBLE
+        with pytest.raises(ValueError):
+            fp_rate_max(mats, scn)
 
 
 class TestInnerConvex:
@@ -159,12 +158,11 @@ class TestInnerConvex:
         )
         mats = build_matrices(array256, scn)
         need = (2.0**4.0 - 1.0) * 1e-11 / mats.g_id[0]
-        point = SlackVars(s=np.array([1.0 / (mats.g_id[0] * need)]), i=np.array([1e-11]))
-        alloc = inner_convex(point, mats, scn)
+        alloc = inner_convex(np.array([need]), mats, scn)
         assert alloc.powers[0] == pytest.approx(need, rel=1e-5)
 
     def test_decoder_only_fixed_point_from_elsewhere(self, array256):
-        # iterating round + slack refresh walks the tangent solutions onto
+        # iterating round + re-expansion walks the tangent solutions onto
         # the true rate-achieving power
         z = rayleigh_distance(array256)
         scn = Scenario(
@@ -178,8 +176,7 @@ class TestInnerConvex:
         need = (2.0**4.0 - 1.0) * 1e-11 / mats.g_id[0]
         x = 0.5
         for _ in range(12):
-            point = SlackVars(s=np.array([1.0 / (mats.g_id[0] * x)]), i=np.array([1e-11]))
-            alloc = inner_convex(point, mats, scn)
+            alloc = inner_convex(np.array([x]), mats, scn)
             x = float(alloc.powers[0])
         assert x == pytest.approx(need, rel=1e-4)
 
@@ -187,16 +184,9 @@ class TestInnerConvex:
         rng = np.random.default_rng(17)
         for _ in range(5):
             mats, scn = random_geometry_instance(rng, array256, n_eh=2, n_id=2, rate_floor=4.0)
-            feas = feasibility_check(mats, scn)
-            assert feas.feasible
-            y0 = feas.id_allocation.powers
-            red_ids = [0, 1]
-            g, k = mats.g_id, mats.n_eh
-            s = np.array([1.0 / float(g[m] * y0[k + m]) for m in red_ids])
-            i = np.array(
-                [float((g[m] * mats.lambda_masked[k + m]) @ y0) + scn.sigma2[m] for m in red_ids]
-            )
-            alloc = inner_convex(SlackVars(s=s, i=i), mats, scn)
+            best = fp_rate_max(mats, scn)
+            assert best.r_star >= scn.rate_floor - FEASIBILITY_TOLERANCE
+            alloc = inner_convex(best.allocation.powers, mats, scn)
             y = alloc.powers
             assert (y >= 0).all()
             assert y.sum() <= scn.p0 * (1 + 1e-7)
@@ -327,8 +317,15 @@ class TestClosedFormEhOnly:
         b = closed_form_eh_only(mats_scaled, scaled)
         assert np.argmax(a.allocation.powers) == np.argmax(b.allocation.powers)
 
-    def test_rejects_positive_floor_with_decoders(self, reference_setup):
-        _, scn, mats = reference_setup
+    @pytest.mark.parametrize("decoders", [True, False], ids=["decoders", "no_decoders"])
+    def test_rejects_positive_floor_with_decoders(self, reference_setup, decoders):
+        # no harvester-only allocation meets a positive floor, with or without
+        # decoders in the scenario
+        cfg, scn, mats = reference_setup
+        if not decoders:
+            scn = dataclasses.replace(scn, id_receivers=(), sigma2=(), rate_floor=3.0)
+            mats = build_matrices(cfg, scn)
+            assert sca_solve(mats, scn).status is SolveStatus.INFEASIBLE
         with pytest.raises(ValueError):
             closed_form_eh_only(mats, scn)
 
@@ -505,15 +502,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             closed_form_mixed(mats, scn)  # two active decoders
 
-    def test_slack_vars_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SlackVars(s=np.array([0.0]), i=np.array([1.0]))
-
     def test_solver_options_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(convergence_threshold=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(fp_tolerance=0.0)
+        for bad in (0.0, -1e-3, math.nan, math.inf, "0.001", True):
+            with pytest.raises(ValueError):
+                SolverOptions(convergence_threshold=bad)
+        for bad in (0, -1, 2.5, 2.0, "5", True):
+            with pytest.raises(ValueError):
+                SolverOptions(max_outer_iters=bad)
+        opts = SolverOptions(convergence_threshold=1, max_outer_iters=np.int64(1))
+        assert opts.max_outer_iters == 1
 
 
 class TestComplexityTrend:
