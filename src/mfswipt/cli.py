@@ -151,6 +151,12 @@ def _cmd_solve(args) -> int:
     if report.status is SolveStatus.OPTIMAL:
         return EXIT_OK
     if report.status is SolveStatus.INFEASIBLE:
+        if "r_star" in report.residuals:
+            print(
+                f"infeasible: maximum sum-rate r* = {_fmt(report.residuals['r_star'])} bps/Hz "
+                f"below R = {_fmt(scn.rate_floor)} bps/Hz",
+                file=sys.stderr,
+            )
         return EXIT_INFEASIBLE
     return EXIT_ITER_LIMIT
 

@@ -9,7 +9,9 @@ continuous vector y.
 Solvers provided:
 
 * `fp_rate_max` - decoder-only sum-rate maximization by alternating
-  closed-form ratio updates with an exactly solvable water-filling step.
+  closed-form ratio updates with an exactly solvable water-filling step,
+  accelerated by SQUAREM extrapolation whose points are clamped to the
+  allocation simplex and kept only when they do not lower the sum-rate.
 * `sca_solve` - outer linearization of the rate constraint, each round
   expanded at the previous allocation and solved exactly by `inner_convex`
   through the round's Lagrange dual in a rate price and a budget price.
@@ -102,6 +104,10 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class RateMaxResult:
+    """Decoder-only sum-rate maximum: r_star (bps/Hz) at `allocation`, gamma
+    the achieved SINR of each active decoder there, and `iterations` the
+    number of fixed-point map evaluations spent."""
+
     r_star: float
     allocation: PowerAllocation
     gamma: np.ndarray
@@ -109,11 +115,7 @@ class RateMaxResult:
 
 
 class SolverNumericalError(RuntimeError):
-    """Numerical failure inside a solver; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: np.ndarray | None = None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Numerical failure inside a solver."""
 
 
 class NoFeasibleInterior(SolverNumericalError):
@@ -209,13 +211,17 @@ def _report(
     )
 
 
-def _infeasible_report(mats: CorrelationMatrices, scheme: str) -> SolveReport:
+def _infeasible_report(
+    mats: CorrelationMatrices, scheme: str, r_star: float | None = None
+) -> SolveReport:
+    """Report of an unmet floor; r_star, when given, is the maximum sum-rate
+    the schedule can reach, kept as residuals["r_star"]."""
     return SolveReport(
         allocation=PowerAllocation(np.zeros(mats.n_slots)),
         objective=math.nan,
         trace=(),
         status=SolveStatus.INFEASIBLE,
-        residuals={},
+        residuals={} if r_star is None else {"r_star": r_star},
         scheme=scheme,
         iterations=0,
     )
@@ -232,13 +238,25 @@ def _objective(mats: CorrelationMatrices, y: np.ndarray) -> float:
 def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> RateMaxResult:
     """Maximize the decoder sum-rate with harvester powers pinned to zero.
 
-    Alternates three exact updates until the sum-rate stalls: the ratio
-    auxiliary gamma_m is set to the achieved SINR of decoder m, a second
-    auxiliary decouples the remaining signal/total-power ratio, and the
-    allocation step is a water-filling problem solved in closed form per
-    slot under a budget multiplier found by Newton.  Each update can only
-    raise the surrogate, so the sum-rate sequence is non-decreasing; at the
-    fixed point gamma equals the achieved SINR exactly.
+    The map F alternates three exact updates: the ratio auxiliary gamma_m is
+    set to the achieved SINR of decoder m, a second auxiliary decouples the
+    remaining signal/total-power ratio, and the allocation step is a
+    water-filling problem solved in closed form per slot under a budget
+    multiplier found by Newton.  Each update can only raise the surrogate,
+    so F never lowers the sum-rate.
+
+    F converges slowly where the optimum switches a decoder off, so it is
+    accelerated by SQUAREM (Varadhan & Roland, 2008): from x0 take
+    x1 = F(x0) and x2 = F(x1), form r = x1 - x0 and v = x2 - 2 x1 + x0, and
+    extrapolate to x0 - 2 alpha r + alpha^2 v with alpha = -|r| / |v|.  The
+    extrapolated point has its negative entries clamped to 0 and is
+    rescaled onto the budget (the sum-rate rises with a common power
+    scale), and it replaces x2 only if its sum-rate is at least that of x2,
+    so the sum-rate never decreases.  The iteration stops when one plain
+    step F from the accepted point changes the sum-rate by at most
+    FP_TOLERANCE relative, and returns that step's result; at the returned
+    allocation gamma equals the achieved SINR exactly.  `iterations` counts
+    the evaluations of F.
     """
     mask = _full_mask(mats, mask)
     k = mats.n_eh
@@ -252,16 +270,15 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
     p0 = scenario.p0
     n = len(act)
 
-    x = np.full(n, p0 / n)
+    def signal_interference(x):
+        return g * x, g * (eta @ x) + s2
 
-    def eval_rate(x):
-        a = g * x
-        b = g * (eta @ x) + s2
-        return float(np.log2(1.0 + a / b).sum()), a, b
+    def rate(x):
+        a, b = signal_interference(x)
+        return float(np.log2(1.0 + a / b).sum())
 
-    prev, a, b = eval_rate(x)
-    iters = 0
-    for iters in range(1, MAX_FP_ITERS + 1):
+    def step(x):
+        a, b = signal_interference(x)
         gamma = a / b
         z = np.sqrt((1.0 + gamma) * a) / (a + b)
         u = z * np.sqrt((1.0 + gamma) * g)
@@ -269,22 +286,38 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
         # into the other decoders' denominators
         w = (z**2) * g + (z**2 * g) @ eta
         x_free = (u / np.maximum(w, 1e-300)) ** 2
-        if x_free.sum() <= p0:
-            x = x_free
-        else:
-            x = _water_fill(u, w, p0)
-        cur, a, b = eval_rate(x)
-        if abs(cur - prev) <= FP_TOLERANCE * max(1.0, abs(prev)):
-            prev = cur
-            break
-        prev = cur
+        return x_free if x_free.sum() <= p0 else _water_fill(u, w, p0)
 
-    gamma = a / b  # final update: exact SINR at the returned allocation
+    x = np.full(n, p0 / n)
+    r = rate(x)
+    iters = 0
+    while iters < MAX_FP_ITERS:
+        x1 = step(x)
+        r1 = rate(x1)
+        iters += 1
+        if abs(r1 - r) <= FP_TOLERANCE * max(1.0, abs(r)):
+            x, r = x1, r1
+            break
+        x2 = step(x1)
+        r2 = rate(x2)
+        iters += 1
+        d1, d2 = x1 - x, x2 - 2.0 * x1 + x
+        curvature = float(np.linalg.norm(d2))
+        if curvature > 0.0:
+            alpha = -float(np.linalg.norm(d1)) / curvature
+            xe = np.maximum(x - 2.0 * alpha * d1 + alpha * alpha * d2, 0.0)
+            total = float(xe.sum())
+            if total > 0.0:
+                xe *= p0 / total
+                re = rate(xe)
+                if re >= r2:
+                    x2, r2 = xe, re
+        x, r = x2, r2
+
+    a, b = signal_interference(x)
     y = np.zeros(mats.n_slots)
     y[slots] = x
-    return RateMaxResult(
-        r_star=prev, allocation=PowerAllocation(y), gamma=gamma, iterations=iters
-    )
+    return RateMaxResult(r_star=r, allocation=PowerAllocation(y), gamma=a / b, iterations=iters)
 
 
 def _water_fill(u: np.ndarray, w: np.ndarray, p0: float) -> np.ndarray:
@@ -416,9 +449,7 @@ def _solve_round(model: _BoundModel, w: np.ndarray, floor: float, p0: float) -> 
         w = -np.ones(len(w))
     top = _lagrangian_argmax(model, np.zeros(len(w)), 1.0, p0)  # maximizes G
     if not model.value(top) > floor + 1e-9 * max(1.0, abs(floor)):
-        raise NoFeasibleInterior(
-            "rate floor is tight at the current linearization", last_iterate=top
-        )
+        raise NoFeasibleInterior("rate floor is tight at the current linearization")
     q = int(np.argmax(w))
     if w[q] > 0 and (model.pos == q).all():  # the LP vertex keeps G finite
         vertex = np.zeros(len(w))
@@ -457,7 +488,7 @@ def _solve_round(model: _BoundModel, w: np.ndarray, floor: float, p0: float) -> 
             if not lo[0] < t < hi[0]:
                 break  # the bracket is at floating-point resolution
     if best is None:
-        raise SolverNumericalError("no rate price meets the floor", last_iterate=x)
+        raise SolverNumericalError("no rate price meets the floor")
     return best
 
 
@@ -546,7 +577,7 @@ def sca_solve(
 
     if not red.act_ids:
         if scenario.rate_floor > FEASIBILITY_TOLERANCE:
-            return _infeasible_report(mats, scheme)
+            return _infeasible_report(mats, scheme, r_star=0.0)
         return _lp_report(mats, scenario, mask, scheme)
     if scenario.rate_floor <= 0:
         # the rate constraint is vacuous for nonnegative allocations
@@ -554,7 +585,7 @@ def sca_solve(
 
     best = fp_rate_max(mats, scenario, mask)
     if not best.r_star >= scenario.rate_floor - FEASIBILITY_TOLERANCE:  # NaN is infeasible
-        return _infeasible_report(mats, scheme)
+        return _infeasible_report(mats, scheme, r_star=best.r_star)
 
     y = best.allocation.powers.copy()
     trace = [_objective(mats, y)]

@@ -71,7 +71,6 @@ def interior_start(red: _Reduced, model: BoundModel) -> np.ndarray:
         return x
     x = np.full(red.n, 0.5 * red.p0 / red.n)
     t = 1.0
-    best = x
     for _ in range(80):
         slack_p = red.p0 - x.sum()
         grad = -t * model.grad(x) + 1.0 / slack_p - 1.0 / x
@@ -95,12 +94,11 @@ def interior_start(red: _Reduced, model: BoundModel) -> np.ndarray:
             t *= 4.0
             continue
         x = x + step * dx
-        best = x
         if model.value(x) > floor + margin:
             return x
         if float(grad @ dx) > -NEWTON_TOL:
             t *= 4.0
-    raise NoFeasibleInterior("rate floor is tight at the current linearization", last_iterate=best)
+    raise NoFeasibleInterior("rate floor is tight at the current linearization")
 
 
 def barrier_maximize(red: _Reduced, model: BoundModel, x0: np.ndarray) -> np.ndarray:
@@ -134,7 +132,7 @@ def barrier_maximize(red: _Reduced, model: BoundModel, x0: np.ndarray) -> np.nda
         for _ in range(MAX_NEWTON_STEPS):
             out = barrier(x, t)
             if out is None:
-                raise SolverNumericalError("barrier iterate left the domain", last_iterate=x)
+                raise SolverNumericalError("barrier iterate left the domain")
             val, grad, hess = out
             try:
                 dx = np.linalg.solve(hess, -grad)

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 
@@ -95,6 +96,33 @@ class TestSolve:
         _, _, rows = read_table(out)
         assert rows[0]["status"] == "Infeasible"
         assert rows[0]["objective_W"] == ""
+
+    def test_infeasible_floor_states_max_rate(self, tmp_path, capsys):
+        # at the bundled 30 dBm no allocation reaches 15 bps/Hz: the CSV keeps
+        # the plain Infeasible row, and stderr states the attainable maximum
+        scenario = tmp_path / "r15.scenario"
+        scenario.write_text(
+            bundled_scenario_path().read_text().replace("R_bpshz: 5.0", "R_bpshz: 15.0")
+        )
+        csv_text = (
+            "# mfswipt v0.1.0 scenario_sha256=4974c9f4255d9ecb\n"
+            "sweep_var,sweep_value,scheme,objective_W,objective_dBm,sum_rate_bpshz,"
+            "scheduled_mask,iterations,status,wall_ms,seed\n"
+            "none,,proposed,,,,,0,Infeasible,,0\n"
+            "# allocation_W: " + " ".join(["0.000000000e+00"] * 5) + "\n"
+        )
+        out = tmp_path / "row.csv"
+        assert main(["solve", str(scenario), "--output", str(out)]) == EXIT_INFEASIBLE
+        assert out.read_text() == csv_text
+        assert main(["solve", str(scenario)]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == csv_text
+        lines = [ln for ln in captured.err.splitlines() if ln.startswith("infeasible:")]
+        assert len(lines) == 2 and lines[0] == lines[1]
+        match = re.fullmatch(
+            r"infeasible: maximum sum-rate r\* = (\S+) bps/Hz below R = 15 bps/Hz", lines[0]
+        )
+        assert match and float(match[1]) == pytest.approx(11.537, abs=1e-3)
 
     def test_exhaustive_logs_every_schedule(self, tmp_path, caplog):
         out = tmp_path / "row.csv"

@@ -1,7 +1,9 @@
 """The exact SCA round (`inner_convex`) against the log-barrier oracle in
 `barrier_oracle.py`, on random geometries and on a hand-built round whose
-optimum splits the leftover budget between two harvesters; and the Newton
-water-filling step of `fp_rate_max` against bisection."""
+optimum splits the leftover budget between two harvesters; the accelerated
+`fp_rate_max` against the plain fixed point in `fp_oracle.py` on random
+geometries; and the Newton water-filling step of `fp_rate_max` against
+bisection."""
 
 import dataclasses
 
@@ -11,7 +13,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from barrier_oracle import barrier_round
-from conftest import random_geometry_instance
+from conftest import achieved_sinr, random_geometry_instance
+from fp_oracle import DecoderProblem, water_fill_by_bisection
 from mfswipt import (
     CorrelationMatrices,
     NoFeasibleInterior,
@@ -22,7 +25,7 @@ from mfswipt import (
     fp_rate_max,
     inner_convex,
 )
-from mfswipt.solvers import _water_fill
+from mfswipt.solvers import FP_TOLERANCE, _water_fill
 
 P0_DBM = (20.0, 44.0)
 
@@ -85,6 +88,34 @@ def test_exact_round_agrees_with_barrier(array256, seed, n_eh, n_id, p0_dbm, flo
     assert abs(got - want) <= 1e-6 * abs(want)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_eh=st.integers(0, 4),
+    n_id=st.integers(1, 4),
+    p0_dbm=st.floats(*P0_DBM),
+)
+def test_rate_max_agrees_with_plain_fixed_point(array256, seed, n_eh, n_id, p0_dbm):
+    # the extrapolated iteration never ends below the plain loop, returns a
+    # budget-feasible allocation whose SINR is gamma, and stops only where a
+    # plain step no longer raises the sum-rate
+    rng = np.random.default_rng(seed)
+    p0 = dbm_to_watts(p0_dbm)
+    mats, scn = random_geometry_instance(rng, array256, n_eh, n_id, rate_floor=0.0, p0=p0)
+    res = fp_rate_max(mats, scn)
+    problem = DecoderProblem(mats, scn)
+    r_star = res.r_star
+    assert r_star >= problem.max_rate() - 1e-10 * max(1.0, r_star)
+
+    y = res.allocation.powers
+    assert (y >= 0).all() and not y[:n_eh].any()
+    assert y.sum() <= p0 * (1 + 1e-12)
+    sinr = achieved_sinr(mats, scn, y)
+    assert (np.abs(res.gamma - sinr) <= 1e-9 * sinr).all()
+
+    x = y[n_eh:]
+    assert problem.rate(problem.step(x)) - problem.rate(x) <= FP_TOLERANCE * max(1.0, r_star)
+
+
 def two_harvester_round(coupling=0.05, rate_floor=4.0):
     """Two orthogonal harvesters and one decoder at 1 W.  Only harvester 0
     leaks into the decoder, and it has the higher weight; the decoder is
@@ -132,19 +163,6 @@ def test_zero_power_decoder_is_named(reference_setup):
     y[mats.n_eh] = scn.p0  # decoder 0 takes the budget, decoder 1 has no power
     with pytest.raises(NoFeasibleInterior, match="decoder 1"):
         inner_convex(y, mats, scn)
-
-
-def water_fill_by_bisection(u, w, p0):
-    """Budget price of sum_i (u_i / (w_i + lam))^2 = P0 by 100 halvings."""
-    lo, hi = 0.0, np.sqrt((u**2).sum() / p0)
-    for _ in range(100):
-        lam = 0.5 * (lo + hi)
-        if ((u / (w + lam)) ** 2).sum() > p0:
-            lo = lam
-        else:
-            hi = lam
-    x = (u / (w + 0.5 * (lo + hi))) ** 2
-    return x * (p0 / x.sum())
 
 
 @given(

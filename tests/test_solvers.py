@@ -138,7 +138,9 @@ class TestFeasibilityCheck:
             rate_floor=1.0,
         )
         mats = build_matrices(array256, scn)
-        assert sca_solve(mats, scn).status is SolveStatus.INFEASIBLE
+        report = sca_solve(mats, scn)
+        assert report.status is SolveStatus.INFEASIBLE
+        assert report.residuals == {"r_star": 0.0}
         with pytest.raises(ValueError):
             fp_rate_max(mats, scn)
 
@@ -232,6 +234,7 @@ class TestScaSolve:
         report = sca_solve(mats, dataclasses.replace(scn, rate_floor=15.0))
         assert report.status is SolveStatus.INFEASIBLE
         assert math.isnan(report.objective)
+        assert report.residuals == {"r_star": fp_rate_max(mats, scn).r_star}
 
     def test_monotone_trace_on_random_instances(self, array256):
         rng = np.random.default_rng(41)
