@@ -17,6 +17,7 @@ from .correlation import (
     FresnelPair,
     build_matrices,
     correlation_approx,
+    correlation_grid,
     correlation_exact,
     eh_priority,
     fresnel,
@@ -102,6 +103,7 @@ __all__ = [
     "fresnel",
     "correlation_exact",
     "correlation_approx",
+    "correlation_grid",
     "build_matrices",
     "eh_priority",
     "PowerAllocation",

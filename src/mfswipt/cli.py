@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import logging
 import math
 import os
@@ -29,12 +30,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import ResultRow, SchemeId, SweepSpec, run_scheme, run_sweep
-from .correlation import (
-    DegenerateGeometryError,
-    build_matrices,
-    correlation_approx,
-    correlation_exact,
-)
+from .correlation import build_matrices, correlation_grid
 from .geometry import PolarLocation, fresnel_min_distance, rayleigh_distance
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_hash, watts_to_dbm
 from .solvers import SolveStatus, SolverOptions
@@ -201,6 +197,21 @@ def _cmd_correlate(args) -> int:
     z = rayleigh_distance(cfg)
     prefix = Path(args.output_prefix)
 
+    if scn.eh_receivers:
+        default = scn.eh_receivers[0].location
+    else:
+        default = PolarLocation(spatial_angle=0.0, distance=0.05 * z)
+    # each flag replaces its own coordinate of the default reference
+    ref = PolarLocation(
+        spatial_angle=default.spatial_angle if args.ref_theta is None else args.ref_theta,
+        distance=default.distance if args.ref_r_over_z is None else args.ref_r_over_z * z,
+    )
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
+    thetas = np.linspace(-0.9, 0.9, args.grid_points)
+    radii = np.geomspace(fresnel_min_distance(cfg), 3.0 * z, args.grid_points)
+    exact, approx = correlation_grid(cfg, ref, thetas, radii)
+
     with open(f"{prefix}_matrices.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["matrix", "row", "col", "value"])
@@ -209,33 +220,17 @@ def _cmd_correlate(args) -> int:
                 for j in range(mats.n_slots):
                     writer.writerow([name, i, j, _fmt(float(mat[i, j]))])
 
-    if scn.eh_receivers:
-        ref = scn.eh_receivers[0].location
-    else:
-        ref = PolarLocation(spatial_angle=0.0, distance=0.05 * z)
-    if args.ref_theta is not None:
-        ref = PolarLocation(
-            spatial_angle=args.ref_theta,
-            distance=(args.ref_r_over_z * z if args.ref_r_over_z else ref.distance),
-        )
-    rmin = fresnel_min_distance(cfg)
-    thetas = np.linspace(-0.9, 0.9, args.grid_points)
-    radii = np.geomspace(rmin, 3.0 * z, args.grid_points)
+    points = itertools.product(
+        [_fmt(t) for t in thetas.tolist()], [_fmt(r) for r in radii.tolist()]
+    )
+    values = zip(exact.ravel().tolist(), approx.ravel().tolist())
     with open(f"{prefix}_error_grid.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["theta", "r_m", "exact", "approx", "abs_err"])
-        for theta in thetas:
-            for r in radii:
-                loc = PolarLocation(spatial_angle=float(theta), distance=float(r))
-                exact = correlation_exact(cfg, ref, loc)
-                try:
-                    approx = correlation_approx(cfg, ref, loc)
-                    err = abs(exact - approx)
-                except DegenerateGeometryError:
-                    approx, err = math.nan, math.nan
-                writer.writerow(
-                    [_fmt(float(theta)), _fmt(float(r)), _fmt(exact), _fmt(approx), _fmt(err)]
-                )
+        writer.writerows(
+            [theta, r, _fmt(e), _fmt(a), _fmt(abs(e - a))]
+            for (theta, r), (e, a) in zip(points, values)
+        )
     print(f"wrote {prefix}_matrices.csv and {prefix}_error_grid.csv")
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from scipy import special
 from .geometry import (
     ArrayConfig,
     PolarLocation,
+    _spherical_steering,
     channel_gain,
     far_steering,
     near_steering,
@@ -33,6 +34,7 @@ __all__ = [
     "fresnel",
     "correlation_exact",
     "correlation_approx",
+    "correlation_grid",
     "build_matrices",
     "eh_priority",
 ]
@@ -64,17 +66,31 @@ def _steering(cfg: ArrayConfig, loc: PolarLocation) -> np.ndarray:
     return far_steering(cfg, loc.spatial_angle) if loc.is_far_field else near_steering(cfg, loc)
 
 
+def _coherence(v_p: np.ndarray, v_q: np.ndarray) -> float:
+    return min(float(abs(np.vdot(v_p, v_q))), 1.0)
+
+
 def correlation_exact(cfg: ArrayConfig, loc_p: PolarLocation, loc_q: PolarLocation) -> float:
     """|v_p^H v_q| by direct N-term summation; far-field locations use the planar vector."""
-    val = abs(np.vdot(_steering(cfg, loc_p), _steering(cfg, loc_q)))
-    return min(float(val), 1.0)
+    return _coherence(_steering(cfg, loc_p), _steering(cfg, loc_q))
 
 
-def _curvature(loc: PolarLocation) -> float:
-    # far-field sentinel: 1/r -> 0
-    if loc.is_far_field:
-        return 0.0
-    return (1.0 - loc.spatial_angle**2) / loc.distance
+def _curvature(theta, r):
+    # (1 - theta^2)/r, which is 0 at the far-field sentinel r = inf
+    return (1.0 - theta**2) / r
+
+
+def _closed_form(cfg: ArrayConfig, theta_p, curv_p, theta_q, curv_q) -> np.ndarray:
+    """The Fresnel closed form over broadcast arrays; NaN where the curvatures coincide."""
+    kappa = cfg.d * np.abs(curv_p - curv_q)
+    root = np.sqrt(kappa)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b1 = (theta_q - theta_p) / root
+        b2 = cfg.n_antennas / 2.0 * root
+        s_plus, c_plus = special.fresnel(b1 + b2)
+        s_minus, c_minus = special.fresnel(b1 - b2)
+        value = np.hypot(c_plus - c_minus, s_plus - s_minus) / (2.0 * b2)
+    return np.where(kappa == 0.0, np.nan, value)
 
 
 def correlation_approx(cfg: ArrayConfig, loc_p: PolarLocation, loc_q: PolarLocation) -> float:
@@ -88,19 +104,40 @@ def correlation_approx(cfg: ArrayConfig, loc_p: PolarLocation, loc_q: PolarLocat
     Raises DegenerateGeometryError when the curvatures coincide (b2 = 0);
     callers fall back to correlation_exact.
     """
-    kappa = cfg.d * abs(_curvature(loc_p) - _curvature(loc_q))
-    if kappa == 0.0:
+    theta_p, theta_q = loc_p.spatial_angle, loc_q.spatial_angle
+    curv_p, curv_q = _curvature(theta_p, loc_p.distance), _curvature(theta_q, loc_q.distance)
+    value = float(_closed_form(cfg, theta_p, curv_p, theta_q, curv_q))
+    if math.isnan(value):
         raise DegenerateGeometryError(
             "equal effective curvatures; use correlation_exact for this pair"
         )
-    root = math.sqrt(kappa)
-    b1 = (loc_q.spatial_angle - loc_p.spatial_angle) / root
-    b2 = cfg.n_antennas / 2.0 * root
-    s_plus, c_plus = special.fresnel(b1 + b2)
-    s_minus, c_minus = special.fresnel(b1 - b2)
-    c_hat = c_plus - c_minus
-    s_hat = s_plus - s_minus
-    return float(abs(complex(c_hat, s_hat)) / (2.0 * b2))
+    return value
+
+
+def correlation_grid(
+    cfg: ArrayConfig, ref: PolarLocation, thetas, radii
+) -> tuple[np.ndarray, np.ndarray]:
+    """correlation_exact and correlation_approx of `ref` against every grid point.
+
+    Entry [i, j] of both arrays belongs to the point (thetas[i], radii[j]),
+    whose distance must be finite.  `approx` is NaN where correlation_approx
+    raises DegenerateGeometryError.  Both equal the scalar functions bit for
+    bit.  The grid is built one theta-row at a time, so memory stays at
+    O(len(radii) * N).
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if not (np.all(np.abs(thetas) <= 1.0) and np.all(np.isfinite(radii) & (radii > 0.0))):
+        raise ValueError("grid angles must lie in [-1, 1] and grid distances be finite and > 0")
+    v_ref = _steering(cfg, ref)
+    curv_ref = _curvature(ref.spatial_angle, ref.distance)
+    exact = np.empty((len(thetas), len(radii)))
+    approx = np.empty_like(exact)
+    for i, theta in enumerate(thetas.tolist()):
+        block = _spherical_steering(cfg, theta, radii[:, None])
+        exact[i] = [_coherence(v_ref, v) for v in block]
+        approx[i] = _closed_form(cfg, ref.spatial_angle, curv_ref, theta, _curvature(theta, radii))
+    return exact, approx
 
 
 @dataclass(frozen=True)

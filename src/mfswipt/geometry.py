@@ -109,23 +109,52 @@ def fresnel_min_distance(cfg: ArrayConfig) -> float:
 def element_distance(cfg: ArrayConfig, loc: PolarLocation, n) -> np.ndarray | float:
     """Exact element-to-receiver distance sqrt(r^2 + delta_n^2 d^2 - 2 r theta delta_n d)."""
     _check_element_index(cfg, n)
-    delta = (2.0 * np.asarray(n) - cfg.n_antennas + 1.0) / 2.0
-    r, theta, d = loc.distance, loc.spatial_angle, cfg.d
-    return np.sqrt(r**2 + (delta * d) ** 2 - 2.0 * r * theta * delta * d)
+    return _exact_distance(_element_delta(cfg, n), cfg.d, loc.spatial_angle, loc.distance)
 
 
 def element_distance_taylor(cfg: ArrayConfig, loc: PolarLocation, n) -> np.ndarray | float:
     """Second-order expansion r - delta_n d theta + delta_n^2 d^2 (1 - theta^2) / (2r)."""
     _check_element_index(cfg, n)
-    delta = (2.0 * np.asarray(n) - cfg.n_antennas + 1.0) / 2.0
-    r, theta, d = loc.distance, loc.spatial_angle, cfg.d
-    return r - delta * d * theta + (delta * d) ** 2 * (1.0 - theta**2) / (2.0 * r)
+    return _taylor_distance(_element_delta(cfg, n), cfg.d, loc.spatial_angle, loc.distance)
 
 
 def _check_element_index(cfg: ArrayConfig, n) -> None:
     n = np.asarray(n)
     if np.any(n < 0) or np.any(n > cfg.n_antennas - 1):
         raise ValueError(f"element index out of range 0..{cfg.n_antennas - 1}")
+
+
+def _element_delta(cfg: ArrayConfig, n) -> np.ndarray:
+    return (2.0 * np.asarray(n) - cfg.n_antennas + 1.0) / 2.0
+
+
+def _exact_distance(delta, d, theta, r):
+    # float_power squares r with the C library's pow, as Python's float ** 2
+    # does; numpy's `r**2` multiplies and differs in the last bit for about
+    # 1 value in 1,300, so scalar and batched distances would disagree
+    return np.sqrt(np.float_power(r, 2) + (delta * d) ** 2 - 2.0 * r * theta * delta * d)
+
+
+def _taylor_distance(delta, d, theta, r):
+    return r - delta * d * theta + (delta * d) ** 2 * (1.0 - theta**2) / (2.0 * r)
+
+
+_DISTANCES = {"exact": _exact_distance, "taylor": _taylor_distance}
+
+
+def _spherical_steering(cfg: ArrayConfig, theta, r, mode: str = "exact") -> np.ndarray:
+    """Spherical-wavefront steering vectors exp(-2j*pi*(r_n - r)/lambda) / sqrt(N).
+
+    `theta` and `r` broadcast against the element axis, which comes last:
+    scalars give one vector, a (G, 1) column of distances gives G rows.  Each
+    row equals the vector of its own (theta, r) bit for bit.
+    """
+    if mode not in _DISTANCES:
+        raise ValueError(f"unknown steering mode {mode!r}")
+    delta = _element_delta(cfg, np.arange(cfg.n_antennas))
+    rn = _DISTANCES[mode](delta, cfg.d, theta, r)
+    phase = -2.0 * np.pi * (rn - r) / cfg.wavelength
+    return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
 
 
 def near_steering(cfg: ArrayConfig, loc: PolarLocation, mode: str = "exact") -> np.ndarray:
@@ -137,15 +166,7 @@ def near_steering(cfg: ArrayConfig, loc: PolarLocation, mode: str = "exact") -> 
     """
     if loc.is_far_field:
         return far_steering(cfg, loc.spatial_angle)
-    n = np.arange(cfg.n_antennas)
-    if mode == "exact":
-        rn = element_distance(cfg, loc, n)
-    elif mode == "taylor":
-        rn = element_distance_taylor(cfg, loc, n)
-    else:
-        raise ValueError(f"unknown steering mode {mode!r}")
-    phase = -2.0 * np.pi * (rn - loc.distance) / cfg.wavelength
-    return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
+    return _spherical_steering(cfg, loc.spatial_angle, loc.distance, mode)
 
 
 def far_steering(cfg: ArrayConfig, angle: float) -> np.ndarray:

@@ -89,7 +89,6 @@ class Scenario:
     p0: float
     rate_floor: float
     zeta: float = 0.5
-    nonlinear: NonlinearEhParams | None = None
     solver_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -135,8 +134,7 @@ _EH_KEYS = {"theta", "r_over_Z", "r_m", "alpha"}
 _ID_KEYS = {"theta", "r_over_Z", "r_m"}
 _POWER_KEYS = {"P0_dBm", "sigma2_dBm"}
 _CONSTRAINT_KEYS = {"R_bpshz"}
-_EH_MODEL_KEYS = {"zeta", "nonlinear"}
-_NONLINEAR_KEYS = {"kappa", "varpi", "varrho"}
+_EH_MODEL_KEYS = {"zeta"}
 _TOP_KEYS = {"array", "eh_receivers", "id_receivers", "power", "constraints", "eh_model", "solver"}
 
 
@@ -235,18 +233,6 @@ def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
     eh_model = doc.get("eh_model") or {}
     _reject_unknown(eh_model, _EH_MODEL_KEYS, "eh_model")
     zeta = float(eh_model.get("zeta", 0.5))
-    nonlinear = None
-    if "nonlinear" in eh_model and eh_model["nonlinear"] is not None:
-        nl = eh_model["nonlinear"]
-        _reject_unknown(nl, _NONLINEAR_KEYS, "eh_model.nonlinear")
-        try:
-            nonlinear = NonlinearEhParams(
-                kappa=float(_require(nl, "kappa", "eh_model.nonlinear")),
-                varpi=float(_require(nl, "varpi", "eh_model.nonlinear")),
-                varrho=float(_require(nl, "varrho", "eh_model.nonlinear")),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"eh_model.nonlinear: {exc}") from exc
 
     solver = doc.get("solver") or {}
     if not isinstance(solver, dict):
@@ -260,7 +246,6 @@ def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
             p0=p0,
             rate_floor=rate_floor,
             zeta=zeta,
-            nonlinear=nonlinear,
             solver_overrides=dict(solver),
         )
     except ValueError as exc:
@@ -273,7 +258,7 @@ def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
 
 def scenario_to_dict(cfg: ArrayConfig, scn: Scenario) -> dict:
     """Canonical mapping equivalent to the parsed file (distances in meters)."""
-    out: dict = {
+    return {
         "array": {
             "n_antennas": cfg.n_antennas,
             "f_GHz": cfg.carrier_freq / 1e9,
@@ -296,13 +281,6 @@ def scenario_to_dict(cfg: ArrayConfig, scn: Scenario) -> dict:
         "eh_model": {"zeta": scn.zeta},
         "solver": dict(sorted(scn.solver_overrides.items())),
     }
-    if scn.nonlinear is not None:
-        out["eh_model"]["nonlinear"] = {
-            "kappa": scn.nonlinear.kappa,
-            "varpi": scn.nonlinear.varpi,
-            "varrho": scn.nonlinear.varrho,
-        }
-    return out
 
 
 def scenario_hash(cfg: ArrayConfig, scn: Scenario) -> str:

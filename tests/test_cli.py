@@ -69,6 +69,17 @@ class TestCheck:
         assert line.split(":")[0] in capsys.readouterr().err
         assert main(["solve", str(bad)]) == EXIT_BAD_INPUT
 
+    def test_nonlinear_key_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        text = bundled_scenario_path().read_text()
+        nonlinear = "\n  nonlinear: {kappa: 0.02, varpi: 0.001, varrho: 150.0}"
+        bad.write_text(text.replace("  zeta: 0.5", "  zeta: 0.5" + nonlinear))
+        assert main(["check", str(bad)]) == EXIT_BAD_INPUT
+        assert "nonlinear" in capsys.readouterr().err
+        assert main(["solve", str(bad)]) == EXIT_BAD_INPUT
+        sweep = ["sweep", str(bad), "--variable", "R", "--grid", "2"]
+        assert main(sweep) == EXIT_BAD_INPUT
+
 
 class TestSolve:
     def test_proposed_on_bundled(self, tmp_path):
@@ -245,3 +256,34 @@ class TestCorrelate:
         assert len(grid) == 1 + 36
         worst = max(float(ln.split(",")[-1]) for ln in grid[1:] if ln.split(",")[-1])
         assert worst <= 0.05
+
+    def _grid(self, tmp_path, name, *flags):
+        prefix = tmp_path / name
+        argv = ["correlate", BUNDLED, "--output-prefix", str(prefix), "--grid-points", "4"]
+        assert main(argv + list(flags)) == EXIT_OK
+        return (tmp_path / f"{name}_error_grid.csv").read_bytes()
+
+    def test_ref_r_over_z_alone_moves_reference(self, tmp_path):
+        # the default reference is harvester 0 at theta = 0.0; the distance
+        # flag replaces only the distance
+        alone = self._grid(tmp_path, "alone", "--ref-r-over-z", "0.2")
+        assert alone != self._grid(tmp_path, "default")
+        assert alone == self._grid(tmp_path, "both", "--ref-theta", "0.0", "--ref-r-over-z", "0.2")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ref-theta", "0.1", "--ref-r-over-z", "0"], "distance must be > 0"),
+            (["--ref-r-over-z", "-0.1"], "distance must be > 0"),
+            (["--ref-r-over-z", "nan"], "distance must be > 0"),
+            (["--grid-points", "0"], "--grid-points"),
+            (["--grid-points", "-3"], "--grid-points"),
+        ],
+        ids=["r_zero", "r_negative", "r_nan", "points_zero", "points_negative"],
+    )
+    def test_rejected_input_writes_nothing(self, tmp_path, capsys, flags, message):
+        prefix = tmp_path / "corr"
+        argv = ["correlate", BUNDLED, "--output-prefix", str(prefix), "--grid-points", "4"]
+        assert main(argv + flags) == EXIT_BAD_INPUT
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

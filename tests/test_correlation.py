@@ -14,6 +14,7 @@ from mfswipt import (
     build_matrices,
     correlation_approx,
     correlation_exact,
+    correlation_grid,
     eh_priority,
     fresnel,
     fresnel_min_distance,
@@ -171,6 +172,48 @@ class TestCorrelationApprox:
             correlation_approx(
                 array256, PolarLocation(0.1, math.inf), PolarLocation(0.4, math.inf)
             )
+
+
+class TestCorrelationGrid:
+    def _scalar_grid(self, cfg, ref, thetas, radii):
+        exact, approx = [], []
+        for theta in thetas:
+            for r in radii:
+                loc = PolarLocation(theta, r)
+                exact.append(correlation_exact(cfg, ref, loc))
+                try:
+                    approx.append(correlation_approx(cfg, ref, loc))
+                except DegenerateGeometryError:
+                    approx.append(math.nan)
+        shape = (len(thetas), len(radii))
+        return np.reshape(exact, shape), np.reshape(approx, shape)
+
+    @pytest.mark.parametrize(
+        "ref, thetas, radii",
+        [
+            # (+-0.2, 30 m) share the reference's curvature (1 - theta^2)/r;
+            # 95.97 ** 2 (C pow) and 95.97 * 95.97 differ in the last bit
+            (PolarLocation(0.2, 30.0), [-0.7, -0.2, 0.0, 0.2, 0.95], [8.0, 30.0, 95.97, 900.0]),
+            # a planar reference is degenerate against theta = +-1 at any distance
+            (PolarLocation(-0.4, math.inf), [-1.0, -0.4, 0.3, 1.0], [7.2, 30.0, 1e4]),
+        ],
+        ids=["near_ref", "far_ref"],
+    )
+    def test_equals_scalar_functions_bit_for_bit(self, array256, ref, thetas, radii):
+        exact, approx = correlation_grid(array256, ref, thetas, radii)
+        want_exact, want_approx = self._scalar_grid(array256, ref, thetas, radii)
+        assert exact.tobytes() == want_exact.tobytes()
+        degenerate = np.isnan(want_approx)
+        assert degenerate.any()
+        assert np.array_equal(np.isnan(approx), degenerate)
+        assert approx[~degenerate].tobytes() == want_approx[~degenerate].tobytes()
+
+    def test_rejects_points_off_the_grid_domain(self, array256):
+        ref = PolarLocation(0.0, 30.0)
+        with pytest.raises(ValueError, match="grid"):
+            correlation_grid(array256, ref, [0.0, 1.2], [30.0])
+        with pytest.raises(ValueError, match="grid"):
+            correlation_grid(array256, ref, [0.0], [30.0, math.inf])
 
 
 def _scenario(eh_locs, id_locs, alphas=None, zeta=0.5, rate_floor=5.0):

@@ -119,11 +119,14 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="spacing"):
             parse_scenario(write_scenario(tmp_path, text))
 
-    def test_nonlinear_block(self, tmp_path):
+    def test_nonlinear_block_rejected(self, tmp_path):
+        # no solver or output reads a rectifier curve; the objective is the
+        # linear harvested power zeta * sum, so the key is refused, not ignored
         text = MINIMAL + "\neh_model: {zeta: 0.6, nonlinear: {kappa: 0.02, varpi: 0.001, varrho: 150.0}}\n"
-        _, scn = parse_scenario(write_scenario(tmp_path, text))
+        with pytest.raises(ScenarioError, match="nonlinear"):
+            parse_scenario(write_scenario(tmp_path, text))
+        _, scn = parse_scenario(write_scenario(tmp_path, MINIMAL + "\neh_model: {zeta: 0.6}\n"))
         assert scn.zeta == 0.6
-        assert scn.nonlinear is not None and scn.nonlinear.kappa == 0.02
 
     def test_not_yaml_rejected(self, tmp_path):
         with pytest.raises(ScenarioError):
