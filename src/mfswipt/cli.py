@@ -10,7 +10,8 @@ Subcommands:
 * ``check``      - parse and validate a scenario file.
 
 Exit codes: 0 solved (or any sweep row solved), 2 infeasible, 3 iteration
-limit, 4 scenario/parse error, 1 unexpected failure or any sweep error row.
+limit, 4 scenario/parse error or unwritable output path, 1 unexpected
+failure or any sweep error row.
 Set MFSWIPT_LOG to a level name (debug, info, ...) for diagnostics on stderr.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import logging
 import math
@@ -80,6 +82,12 @@ def _solver_options(scenario: Scenario) -> SolverOptions:
         raise ScenarioError(f"solver overrides: {exc}") from exc
 
 
+def _check_writable(path: str | None) -> None:
+    """Refuse, before any work runs, an output file that cannot be created."""
+    if path and (Path(path).is_dir() or not os.access(Path(path).parent, os.W_OK | os.X_OK)):
+        raise ValueError(f"cannot write {path}: not a file in a writable directory")
+
+
 def _write_rows(
     path: str | None, rows: list[ResultRow], header_meta: dict, trailer: list[str] = ()
 ) -> None:
@@ -89,22 +97,7 @@ def _write_rows(
         out.write(f"# mfswipt v{__version__} {meta}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.sweep_var,
-                    _fmt(row.sweep_value),
-                    row.scheme,
-                    _fmt(row.objective_w),
-                    _fmt(row.objective_dbm),
-                    _fmt(row.sum_rate_bpshz),
-                    row.scheduled_mask,
-                    row.iterations,
-                    row.status,
-                    _fmt(row.wall_ms),
-                    row.seed,
-                ]
-            )
+        writer.writerows([_fmt(v) for v in dataclasses.astuple(row)] for row in rows)
         for line in trailer:
             out.write(f"# {line}\n")
     finally:
@@ -128,6 +121,7 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     cfg, scn = parse_scenario(args.scenario)
     opts = _solver_options(scn)
+    _check_writable(args.output)
     mats = build_matrices(cfg, scn)
     scheme = SchemeId(args.scheme)
     start = time.perf_counter()
@@ -160,6 +154,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg, scn = parse_scenario(args.scenario)
     opts = _solver_options(scn)
+    _check_writable(args.output)
     grid = tuple(float(v) for v in args.grid.split(","))
     if args.variable in ("K", "M"):
         grid = tuple(int(v) for v in grid)
@@ -193,9 +188,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_correlate(args) -> int:
     cfg, scn = parse_scenario(args.scenario)
+    prefix = Path(args.output_prefix)
+    _check_writable(f"{prefix}_matrices.csv")
     mats = build_matrices(cfg, scn)
     z = rayleigh_distance(cfg)
-    prefix = Path(args.output_prefix)
 
     if scn.eh_receivers:
         default = scn.eh_receivers[0].location

@@ -17,8 +17,8 @@ Solvers provided:
   through the round's Lagrange dual in a rate price and a budget price.
   A floor above the maximum sum-rate of `fp_rate_max` is infeasible.
 * `closed_form_eh_only`, `closed_form_mixed` - stationarity-derived exact
-  solutions for the harvester-only and single-decoder cases, with KKT
-  residuals reported.
+  solutions for the harvester-only and single-decoder cases; only the
+  single-decoder form reports a KKT residual.
 * `exhaustive_search` - brute force over all 2^(K+M) schedules, the
   benchmark oracle.
 
@@ -132,25 +132,25 @@ class _Reduced:
 
     x indexes active slots only.  For active decoder j (deployment index
     act_ids[j]): signal A_j(x) = gain_j * x[pos_j], interference-plus-noise
-    B_j(x) = brow_j @ x + sigma2_j.  The objective keeps the full priority
+    B_j(x) = brow_j @ x + sigma2_j with brow_j = gain_j * lam_j, lam_j its
+    couplings to the active slots.  The objective keeps the full priority
     vector, so pinned harvesters still account for harvested leakage.
     """
 
-    def __init__(self, mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray):
-        self.idx = np.where(mask)[0]
-        if len(self.idx) == 0:
-            raise ValueError("mask must keep at least one slot active")
-        k = mats.n_eh
-        self.act_ids = [m for m in range(mats.n_id) if mask[k + m]]
+    def __init__(self, mats: CorrelationMatrices, scenario: Scenario, mask=None):
+        mask = _full_mask(mats, mask)
+        self.idx = np.flatnonzero(mask)
+        self.act_ids = np.flatnonzero(mask[mats.n_eh :])
         self.n = len(self.idx)
         self.w = mats.priorities[self.idx]
         self.p0 = scenario.p0
         self.rate_floor = scenario.rate_floor
-        slots = k + np.array(self.act_ids, dtype=int)
+        slots = mats.n_eh + self.act_ids
         self.gain = mats.g_id[self.act_ids]
         self.sigma2 = np.array(scenario.sigma2)[self.act_ids]
-        self.brow = self.gain[:, None] * mats.lambda_masked[np.ix_(slots, self.idx)]
-        self.pos = np.array([int(np.where(self.idx == s)[0][0]) for s in slots], dtype=int)
+        self.lam = mats.lambda_masked[np.ix_(slots, self.idx)]
+        self.brow = self.gain[:, None] * self.lam
+        self.pos = np.searchsorted(self.idx, slots)
         self.n_slots = mats.n_slots
 
     def embed(self, x: np.ndarray) -> np.ndarray:
@@ -171,6 +171,8 @@ def _full_mask(mats: CorrelationMatrices, mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (mats.n_slots,):
         raise ValueError(f"mask must have one entry per slot ({mats.n_slots})")
+    if not mask.any():
+        raise ValueError("mask must keep at least one slot active")
     return mask
 
 
@@ -259,16 +261,10 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
     the evaluations of F.
     """
     mask = _full_mask(mats, mask)
-    k = mats.n_eh
-    act = [m for m in range(mats.n_id) if mask[k + m]]
-    if not act:
+    if not mask[mats.n_eh :].any():
         raise ValueError("fp_rate_max needs at least one active decoder")
-    slots = k + np.array(act, dtype=int)
-    g = mats.g_id[act]
-    s2 = np.array(scenario.sigma2)[act]
-    eta = mats.lambda_masked[np.ix_(slots, slots)]
-    p0 = scenario.p0
-    n = len(act)
+    red = _Reduced(mats, scenario, mask & (np.arange(mats.n_slots) >= mats.n_eh))
+    g, s2, eta, p0 = red.gain, red.sigma2, red.lam, red.p0
 
     def signal_interference(x):
         return g * x, g * (eta @ x) + s2
@@ -288,7 +284,7 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
         x_free = (u / np.maximum(w, 1e-300)) ** 2
         return x_free if x_free.sum() <= p0 else _water_fill(u, w, p0)
 
-    x = np.full(n, p0 / n)
+    x = np.full(red.n, p0 / red.n)
     r = rate(x)
     iters = 0
     while iters < MAX_FP_ITERS:
@@ -315,9 +311,8 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
         x, r = x2, r2
 
     a, b = signal_interference(x)
-    y = np.zeros(mats.n_slots)
-    y[slots] = x
-    return RateMaxResult(r_star=r, allocation=PowerAllocation(y), gamma=a / b, iterations=iters)
+    alloc = PowerAllocation(red.embed(x))
+    return RateMaxResult(r_star=r, allocation=alloc, gamma=a / b, iterations=iters)
 
 
 def _water_fill(u: np.ndarray, w: np.ndarray, p0: float) -> np.ndarray:
@@ -509,7 +504,6 @@ def inner_convex(
     Raises NoFeasibleInterior when the bound cannot clear the floor, and
     when a decoder has no power at y (its slack is infinite).
     """
-    mask = _full_mask(mats, mask)
     red = _Reduced(mats, scenario, mask)
     x = np.asarray(y, dtype=float)[red.idx]
     with np.errstate(divide="ignore"):
@@ -532,28 +526,11 @@ def _lp_report(
     mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray, scheme: str
 ) -> SolveReport:
     """Exact solution when the rate floor is absent: a linear program over the
-    simplex, optimized at the single active slot of highest priority.
-
-    The report carries the stationarity/complementarity residual of the LP,
-    assembled numerically from the recovered multipliers: the budget price
-    tau is the best priority and the per-slot prices make the gradient
-    vanish; dual feasibility then requires every price >= 0.
-    """
-    idx = np.where(mask)[0]
-    rho = mats.priorities[idx]
-    best = int(np.argmax(rho))
+    simplex, optimized at the single active slot of highest priority."""
+    idx = np.flatnonzero(mask)
     y = np.zeros(mats.n_slots)
-    y[idx[best]] = scenario.p0
-    tau = rho[best]
-    mu = tau - rho
-    stationarity = -rho + tau - mu
-    kkt_norm = float(
-        np.linalg.norm(stationarity)
-        + abs(mu @ y[idx])
-        + np.linalg.norm(np.minimum(mu, 0.0))
-        + abs(y.sum() - scenario.p0)
-    )
-    return _report(mats, scenario, y, scheme, kkt_norm=kkt_norm)
+    y[idx[np.argmax(mats.priorities[idx])]] = scenario.p0
+    return _report(mats, scenario, y, scheme)
 
 
 def sca_solve(
@@ -573,14 +550,11 @@ def sca_solve(
     the loop stops when the fractional increase falls under the threshold.
     """
     mask = _full_mask(mats, mask)
-    red = _Reduced(mats, scenario, mask)
-
-    if not red.act_ids:
-        if scenario.rate_floor > FEASIBILITY_TOLERANCE:
-            return _infeasible_report(mats, scheme, r_star=0.0)
-        return _lp_report(mats, scenario, mask, scheme)
-    if scenario.rate_floor <= 0:
-        # the rate constraint is vacuous for nonnegative allocations
+    decoders = mask[mats.n_eh :].any()
+    if not decoders and scenario.rate_floor > FEASIBILITY_TOLERANCE:
+        return _infeasible_report(mats, scheme, r_star=0.0)
+    if not decoders or scenario.rate_floor <= 0:
+        # a linear program: no decoder (the floor is within tolerance) or no floor
         return _lp_report(mats, scenario, mask, scheme)
 
     best = fp_rate_max(mats, scenario, mask)
@@ -617,8 +591,8 @@ def closed_form_eh_only(mats: CorrelationMatrices, scenario: Scenario) -> SolveR
     """Harvester-only allocation: the whole budget to the highest-priority harvester.
 
     Valid when the rate floor is zero: no decoder is scheduled, so no
-    positive floor can be met.  The report carries the KKT residual of the
-    underlying linear program.
+    positive floor can be met.  The linear program's optimum is a vertex, so
+    the report carries no KKT residual.
     """
     k = mats.n_eh
     if k == 0:
@@ -642,10 +616,10 @@ def closed_form_mixed(
     """
     mask = _full_mask(mats, mask)
     k = mats.n_eh
-    act_ids = [m for m in range(mats.n_id) if mask[k + m]]
+    act_ids = np.flatnonzero(mask[k:])
     if len(act_ids) != 1:
         raise ValueError("closed_form_mixed needs exactly one active decoder")
-    m = act_ids[0]
+    m = int(act_ids[0])
     slot = k + m
     g = mats.g_id[m]
     s2 = scenario.sigma2[m]
@@ -654,7 +628,7 @@ def closed_form_mixed(
     if scenario.p0 < need:
         return _infeasible_report(mats, "mixed_closed_form")
 
-    idx = np.where(mask)[0]
+    idx = np.flatnonzero(mask)
     rho_vec = mats.priorities
     rho = int(idx[np.argmax(rho_vec[idx])])
     y = np.zeros(mats.n_slots)
@@ -671,14 +645,7 @@ def closed_form_mixed(
 
     # dual feasibility of every active slot; negative prices flag instances
     # where the priority ranking alone does not determine the optimum
-    mu = np.array(
-        [
-            tau
-            - rho_vec[p]
-            + nu * (growth * g * mats.lambda_masked[slot, p] - (g if p == slot else 0.0))
-            for p in idx
-        ]
-    )
+    mu = tau - rho_vec[idx] + nu * (growth * g * mats.lambda_masked[slot, idx] - g * (idx == slot))
     rate_residual = growth * (g * float(mats.lambda_masked[slot] @ y) + s2) - g * y[slot]
     kkt_norm = float(
         np.linalg.norm(np.minimum(mu, 0.0))

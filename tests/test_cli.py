@@ -1,10 +1,13 @@
+import dataclasses
 import logging
 import re
 
 import pytest
 
 from mfswipt import bundled_scenario_path
+from mfswipt.benchmarks import ResultRow
 from mfswipt.cli import (
+    CSV_COLUMNS,
     EXIT_BAD_INPUT,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -13,6 +16,23 @@ from mfswipt.cli import (
 )
 
 BUNDLED = str(bundled_scenario_path())
+
+
+def no_work(*args, **kwargs):
+    pytest.fail("the computation ran before the output path was checked")
+
+
+def assert_unwritable(tmp_path, capsys, argv, path):
+    """The command exits 4 naming `path` as unwritable and writes nothing."""
+    assert main(argv) == EXIT_BAD_INPUT
+    assert f"cannot write {path}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_result_row_fields_follow_csv_columns():
+    # rows are written field by field, so the field order is the column order
+    names = [f.name for f in dataclasses.fields(ResultRow)]
+    assert [n.lower() for n in names] == [c.lower() for c in CSV_COLUMNS]
 
 
 def read_table(path):
@@ -95,6 +115,12 @@ class TestSolve:
         assert "# allocation_W:" in text
         alloc = [float(v) for v in text.rsplit("allocation_W:", 1)[1].split()]
         assert len(alloc) == 5 and sum(alloc) <= 1.0 + 1e-7
+
+    @pytest.mark.parametrize("name", ["nodir/row.csv", "."], ids=["missing_dir", "is_dir"])
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setattr("mfswipt.cli.run_scheme", no_work)
+        out = tmp_path / name
+        assert_unwritable(tmp_path, capsys, ["solve", BUNDLED, "--output", str(out)], out)
 
     def test_equal_split_infeasible_floor(self, tmp_path):
         scenario = tmp_path / "hard.scenario"
@@ -240,8 +266,20 @@ class TestSweep:
         _, _, rows = read_table(out)
         assert [r["status"].split(":")[0] for r in rows] == ["Error"] * 4
 
+    def test_output_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mfswipt.benchmarks.run_scheme", no_work)
+        out = tmp_path / "nodir" / "sweep.csv"
+        argv = ["sweep", BUNDLED, "--variable", "R", "--grid", "2", "--output", str(out)]
+        assert_unwritable(tmp_path, capsys, argv, out)
+
 
 class TestCorrelate:
+    def test_output_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mfswipt.cli.correlation_grid", no_work)
+        prefix = tmp_path / "nodir" / "corr"
+        argv = ["correlate", BUNDLED, "--output-prefix", str(prefix), "--grid-points", "4"]
+        assert_unwritable(tmp_path, capsys, argv, f"{prefix}_matrices.csv")
+
     def test_writes_matrices_and_error_grid(self, tmp_path):
         prefix = tmp_path / "corr"
         code = main(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from mfswipt import (
     sum_rate,
     weighted_sum_power,
 )
-from mfswipt.solvers import FEASIBILITY_TOLERANCE, _schedules
+from mfswipt.solvers import FEASIBILITY_TOLERANCE, _Reduced, _schedules
 
 TIGHT = SolverOptions(convergence_threshold=1e-6)
 
@@ -281,7 +282,6 @@ class TestClosedFormEhOnly:
         report = closed_form_eh_only(mats, scn)
         assert report.allocation.powers[0] == 2.0
         assert report.objective == pytest.approx(mats.c_eh[0] * 2.0, rel=1e-12)
-        assert report.residuals["kkt_norm"] < 1e-12
 
     def test_reference_harvesters_beat_simplex_grid(self, reference_setup):
         _, scn, mats = reference_setup
@@ -367,6 +367,13 @@ class TestClosedFormMixed:
             if best != mats.n_eh:
                 assert abs(report.residuals["rate_slack"]) < 1e-6
                 assert report.residuals["kkt_norm"] < 1e-9 * max(mats.priorities.max(), 1.0)
+
+    @pytest.mark.parametrize("decoders", [(False, False), (True, True)], ids=["none", "two"])
+    def test_needs_exactly_one_decoder(self, reference_setup, decoders):
+        _, scn, mats = reference_setup
+        mask = np.array((True,) * mats.n_eh + decoders)
+        with pytest.raises(ValueError, match="exactly one active decoder"):
+            closed_form_mixed(mats, scn, mask)
 
     def test_infeasible_when_budget_below_rate_power(self, array256):
         rng = np.random.default_rng(73)
@@ -494,6 +501,42 @@ class TestEdgeCases:
         assert res.allocation.powers[4] == 0.0
         cap = math.log2(1 + mats.g_id[0] * scn.p0 / scn.sigma2[0])
         assert res.r_star == pytest.approx(cap, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "decoders", [(True, False), (False, True), (True, True)], ids=["first", "second", "both"]
+    )
+    def test_rate_max_ignores_harvester_bits(self, reference_setup, decoders):
+        # fp_rate_max pins every harvester to zero, so the harvester bits of
+        # the mask cannot change a single output bit
+        _, scn, mats = reference_setup
+        results = [
+            fp_rate_max(mats, scn, mask=np.array(harvesters + decoders))
+            for harvesters in itertools.product((False, True), repeat=mats.n_eh)
+        ]
+        first = results[0]
+        for res in results[1:]:
+            assert res.r_star == first.r_star
+            assert res.gamma.tobytes() == first.gamma.tobytes()
+            assert res.iterations == first.iterations
+            assert res.allocation.powers.tobytes() == first.allocation.powers.tobytes()
+
+    @pytest.mark.parametrize("rate_floor", [0.0, 3.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            _Reduced,
+            lambda mats, scn, mask: sca_solve(mats, scn, mask=mask),
+            lambda mats, scn, mask: inner_convex(np.ones(mats.n_slots), mats, scn, mask),
+            fp_rate_max,
+            closed_form_mixed,
+        ],
+        ids=["reduced", "sca_solve", "inner_convex", "fp_rate_max", "closed_form_mixed"],
+    )
+    def test_empty_mask_rejected(self, reference_setup, call, rate_floor):
+        _, scn, mats = reference_setup
+        scn = dataclasses.replace(scn, rate_floor=rate_floor)
+        with pytest.raises(ValueError, match="mask must keep at least one slot active"):
+            call(mats, scn, np.zeros(mats.n_slots, dtype=bool))
 
     def test_mask_shape_checked(self, reference_setup):
         _, scn, mats = reference_setup
