@@ -50,13 +50,13 @@ class SchemeId(Enum):
 
 
 def _equal_split_report(
-    mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray, label: str
+    mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray
 ) -> SolveReport | None:
     """Equal power over the masked slots if that split meets the rate floor."""
     count = int(mask.sum())
     if count == 0:
         return None
-    report = _report(mats, scenario, np.where(mask, scenario.p0 / count, 0.0), label)
+    report = _report(mats, scenario, np.where(mask, scenario.p0 / count, 0.0))
     return report if report.residuals["rate_slack"] >= -1e-9 else None
 
 
@@ -69,7 +69,7 @@ def run_scheme(
     """Run one scheme on a prepared instance and return its report."""
     k, m, n = mats.n_eh, mats.n_id, mats.n_slots
     if scheme is SchemeId.PROPOSED:
-        return sca_solve(mats, scenario, opts, scheme="proposed")
+        return sca_solve(mats, scenario, opts)
 
     if scheme is SchemeId.EXHAUSTIVE:
         return exhaustive_search(mats, scenario, opts)
@@ -79,7 +79,7 @@ def run_scheme(
             raise ValueError("far-field scheme needs at least one decoder")
         mask = np.zeros(n, dtype=bool)
         mask[k:] = True
-        return sca_solve(mats, scenario, opts, mask, scheme="far_field_swipt")
+        return sca_solve(mats, scenario, opts, mask)
 
     if scheme is SchemeId.GS_OPA:
         if k == 0 or m == 0:
@@ -89,20 +89,19 @@ def run_scheme(
         mask = np.zeros(n, dtype=bool)
         mask[best_eh] = True
         mask[k + best_id] = True
-        return replace(closed_form_mixed(mats, scenario, mask), scheme="gs_opa")
+        return closed_form_mixed(mats, scenario, mask)
 
     if scheme is SchemeId.OS_EPA:
         best: SolveReport | None = None
         for mask in _schedules(n):
-            report = _equal_split_report(mats, scenario, mask, "os_epa")
+            report = _equal_split_report(mats, scenario, mask)
             if report is not None and (best is None or report.objective > best.objective):
                 best = report
-        return best if best is not None else _infeasible_report(mats, "os_epa")
+        return best if best is not None else _infeasible_report(mats)
 
     if scheme is SchemeId.AS_EPA:
-        mask = np.ones(n, dtype=bool)
-        report = _equal_split_report(mats, scenario, mask, "as_epa")
-        return report if report is not None else _infeasible_report(mats, "as_epa")
+        report = _equal_split_report(mats, scenario, np.ones(n, dtype=bool))
+        return report if report is not None else _infeasible_report(mats)
 
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -116,18 +115,17 @@ class SweepSpec:
     """One-parameter experiment over `variable` in {P0_dBm, R, K, M}.
 
     For receiver-count sweeps the extra receivers beyond the base scenario
-    are drawn once per Monte-Carlo draw from a seeded generator: uniform
-    physical angle within +-60 degrees of broadside (converted to the
-    spatial-angle coordinate) and uniform radius inside a Z-multiple
-    annulus, 0.015-0.3 Z for harvesters and 1.05-1.3 Z for decoders.  Grid
-    point K reuses the first K - K_base of those draws, so successive points
-    nest.  Added decoders inherit the first decoder's noise power.
+    are drawn once from a generator seeded with `seed`: uniform physical
+    angle within +-60 degrees of broadside (converted to the spatial-angle
+    coordinate) and uniform radius inside a Z-multiple annulus, 0.015-0.3 Z
+    for harvesters and 1.05-1.3 Z for decoders.  Grid point K reuses the
+    first K - K_base of those draws, so successive points nest.  Added
+    decoders inherit the first decoder's noise power.
     """
 
     variable: str
     grid: tuple
     seed: int = 0
-    draws: int = 1
     record_timing: bool = False
 
     def __post_init__(self):
@@ -137,8 +135,6 @@ class SweepSpec:
             raise ValueError("sweep grid must be non-empty")
         if list(self.grid) != sorted(self.grid):
             raise ValueError("sweep grid must be sorted")
-        if self.draws < 1:
-            raise ValueError("draws must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -241,54 +237,53 @@ def run_sweep(
     schemes: list[SchemeId],
     opts: SolverOptions = SolverOptions(),
 ) -> list[ResultRow]:
-    """Execute every (grid point, scheme, draw) combination.
+    """Execute every (grid point, scheme) combination.
 
+    Receiver-count sweeps draw their added receivers once, from the spec's
+    seed; repeat the sweep with other seeds for a Monte-Carlo study.
     Coupling matrices are rebuilt per point.  Failures of individual runs
     become rows with an error status instead of aborting the sweep.  Output
     order is grid-major and deterministic for a fixed (spec, seed); wall
     times are recorded only when the spec asks for them, keeping default
     output byte-reproducible.
     """
+    rng = np.random.default_rng([spec.seed, 0])
+    extra_eh: list[Receiver] = []
+    extra_id: list[Receiver] = []
+    if spec.variable == "K":
+        n_extra = max(int(v) for v in spec.grid) - base_scenario.n_eh
+        extra_eh = [_draw_receiver(rng, cfg, _EH_ANNULUS) for _ in range(max(n_extra, 0))]
+    elif spec.variable == "M":
+        n_extra = max(int(v) for v in spec.grid) - base_scenario.n_id
+        extra_id = [_draw_receiver(rng, cfg, _ID_ANNULUS) for _ in range(max(n_extra, 0))]
     rows: list[ResultRow] = []
-    for draw in range(spec.draws):
-        rng = np.random.default_rng([spec.seed, draw])
-        extra_eh: list[Receiver] = []
-        extra_id: list[Receiver] = []
-        if spec.variable == "K":
-            n_extra = max(int(v) for v in spec.grid) - base_scenario.n_eh
-            extra_eh = [_draw_receiver(rng, cfg, _EH_ANNULUS) for _ in range(max(n_extra, 0))]
-        elif spec.variable == "M":
-            n_extra = max(int(v) for v in spec.grid) - base_scenario.n_id
-            extra_id = [_draw_receiver(rng, cfg, _ID_ANNULUS) for _ in range(max(n_extra, 0))]
-        for value in spec.grid:
+    for value in spec.grid:
+        try:
+            scenario = _scenario_for_point(spec, cfg, base_scenario, value, extra_eh, extra_id)
+            mats = build_matrices(cfg, scenario)
+        except Exception as exc:
+            rows += [
+                ResultRow.from_report(spec.variable, value, s.value, exc, seed=spec.seed)
+                for s in schemes
+            ]
+            continue
+        for scheme in schemes:
+            start = time.perf_counter()
             try:
-                scenario = _scenario_for_point(
-                    spec, cfg, base_scenario, value, extra_eh, extra_id
-                )
-                mats = build_matrices(cfg, scenario)
+                outcome = run_scheme(scheme, mats, scenario, opts)
             except Exception as exc:
-                rows += [
-                    ResultRow.from_report(spec.variable, value, s.value, exc, seed=spec.seed)
-                    for s in schemes
-                ]
-                continue
-            for scheme in schemes:
-                start = time.perf_counter()
-                try:
-                    outcome = run_scheme(scheme, mats, scenario, opts)
-                except Exception as exc:
-                    outcome = exc
-                wall = (time.perf_counter() - start) * 1e3
-                rows.append(
-                    ResultRow.from_report(
-                        spec.variable,
-                        value,
-                        scheme.value,
-                        outcome,
-                        mats,
-                        scenario,
-                        wall if spec.record_timing else None,
-                        spec.seed,
-                    )
+                outcome = exc
+            wall = (time.perf_counter() - start) * 1e3
+            rows.append(
+                ResultRow.from_report(
+                    spec.variable,
+                    value,
+                    scheme.value,
+                    outcome,
+                    mats,
+                    scenario,
+                    wall if spec.record_timing else None,
+                    spec.seed,
                 )
+            )
     return rows

@@ -10,7 +10,7 @@ Subcommands:
 * ``check``      - parse and validate a scenario file.
 
 Exit codes: 0 solved (or any sweep row solved), 2 infeasible, 3 iteration
-limit, 4 scenario/parse error or unwritable output path, 1 unexpected
+limit, 4 usage, scenario/parse error or unwritable output path, 1 unexpected
 failure or any sweep error row.
 Set MFSWIPT_LOG to a level name (debug, info, ...) for diagnostics on stderr.
 """
@@ -159,13 +159,7 @@ def _cmd_sweep(args) -> int:
     if args.variable in ("K", "M"):
         grid = tuple(int(v) for v in grid)
     schemes = [SchemeId(s) for s in args.schemes.split(",")]
-    spec = SweepSpec(
-        variable=args.variable,
-        grid=grid,
-        seed=args.seed,
-        draws=args.draws,
-        record_timing=args.timing,
-    )
+    spec = SweepSpec(args.variable, grid, seed=args.seed, record_timing=args.timing)
     rows = run_sweep(spec, cfg, scn, schemes, opts)
     _write_rows(
         args.output,
@@ -253,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--schemes", default=",".join(scheme_names), help="comma-separated scheme names"
     )
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--draws", type=int, default=1)
     p_sweep.add_argument("--output", default=None, help="CSV path (default stdout)")
     p_sweep.add_argument("--timing", action="store_true", help="record wall times")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -275,8 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on misuse
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ScenarioError as exc:

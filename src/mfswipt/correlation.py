@@ -62,17 +62,13 @@ def fresnel(beta: float) -> FresnelPair:
     return FresnelPair(c_val=float(c), s_val=float(s))
 
 
-def _steering(cfg: ArrayConfig, loc: PolarLocation) -> np.ndarray:
-    return far_steering(cfg, loc.spatial_angle) if loc.is_far_field else near_steering(cfg, loc)
-
-
 def _coherence(v_p: np.ndarray, v_q: np.ndarray) -> float:
     return min(float(abs(np.vdot(v_p, v_q))), 1.0)
 
 
 def correlation_exact(cfg: ArrayConfig, loc_p: PolarLocation, loc_q: PolarLocation) -> float:
     """|v_p^H v_q| by direct N-term summation; far-field locations use the planar vector."""
-    return _coherence(_steering(cfg, loc_p), _steering(cfg, loc_q))
+    return _coherence(near_steering(cfg, loc_p), near_steering(cfg, loc_q))
 
 
 def _curvature(theta, r):
@@ -129,7 +125,7 @@ def correlation_grid(
     radii = np.asarray(radii, dtype=float)
     if not (np.all(np.abs(thetas) <= 1.0) and np.all(np.isfinite(radii) & (radii > 0.0))):
         raise ValueError("grid angles must lie in [-1, 1] and grid distances be finite and > 0")
-    v_ref = _steering(cfg, ref)
+    v_ref = near_steering(cfg, ref)
     curv_ref = _curvature(ref.spatial_angle, ref.distance)
     exact = np.empty((len(thetas), len(radii)))
     approx = np.empty_like(exact)

@@ -24,7 +24,8 @@ Solvers provided:
 
 Every solver accepts an optional boolean `mask` pinning the complementary
 slots to zero power; unscheduled harvesters still collect leakage in the
-objective.  All routines are deterministic.
+objective.  All routines are deterministic.  A `SolveReport` carries no
+label; the comparison harness in `benchmarks` names its runs.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ class SolveReport:
     trace: tuple
     status: SolveStatus
     residuals: dict
-    scheme: str
     iterations: int
 
 
@@ -187,7 +187,6 @@ def _report(
     mats: CorrelationMatrices,
     scenario: Scenario,
     y: np.ndarray,
-    scheme: str,
     status: SolveStatus = SolveStatus.OPTIMAL,
     trace: tuple | None = None,
     iterations: int = 0,
@@ -208,14 +207,11 @@ def _report(
         trace=(obj,) if trace is None else tuple(trace),
         status=status,
         residuals=residuals,
-        scheme=scheme,
         iterations=iterations,
     )
 
 
-def _infeasible_report(
-    mats: CorrelationMatrices, scheme: str, r_star: float | None = None
-) -> SolveReport:
+def _infeasible_report(mats: CorrelationMatrices, r_star: float | None = None) -> SolveReport:
     """Report of an unmet floor; r_star, when given, is the maximum sum-rate
     the schedule can reach, kept as residuals["r_star"]."""
     return SolveReport(
@@ -224,7 +220,6 @@ def _infeasible_report(
         trace=(),
         status=SolveStatus.INFEASIBLE,
         residuals={} if r_star is None else {"r_star": r_star},
-        scheme=scheme,
         iterations=0,
     )
 
@@ -522,15 +517,13 @@ def inner_convex(
 # outer loop
 
 
-def _lp_report(
-    mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray, scheme: str
-) -> SolveReport:
+def _lp_report(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray) -> SolveReport:
     """Exact solution when the rate floor is absent: a linear program over the
     simplex, optimized at the single active slot of highest priority."""
     idx = np.flatnonzero(mask)
     y = np.zeros(mats.n_slots)
     y[idx[np.argmax(mats.priorities[idx])]] = scenario.p0
-    return _report(mats, scenario, y, scheme)
+    return _report(mats, scenario, y)
 
 
 def sca_solve(
@@ -538,7 +531,6 @@ def sca_solve(
     scenario: Scenario,
     opts: SolverOptions = SolverOptions(),
     mask=None,
-    scheme: str = "proposed",
 ) -> SolveReport:
     """Successive convexification of the rate constraint.
 
@@ -552,14 +544,14 @@ def sca_solve(
     mask = _full_mask(mats, mask)
     decoders = mask[mats.n_eh :].any()
     if not decoders and scenario.rate_floor > FEASIBILITY_TOLERANCE:
-        return _infeasible_report(mats, scheme, r_star=0.0)
+        return _infeasible_report(mats, r_star=0.0)
     if not decoders or scenario.rate_floor <= 0:
         # a linear program: no decoder (the floor is within tolerance) or no floor
-        return _lp_report(mats, scenario, mask, scheme)
+        return _lp_report(mats, scenario, mask)
 
     best = fp_rate_max(mats, scenario, mask)
     if not best.r_star >= scenario.rate_floor - FEASIBILITY_TOLERANCE:  # NaN is infeasible
-        return _infeasible_report(mats, scheme, r_star=best.r_star)
+        return _infeasible_report(mats, r_star=best.r_star)
 
     y = best.allocation.powers.copy()
     trace = [_objective(mats, y)]
@@ -580,7 +572,7 @@ def sca_solve(
             status = SolveStatus.OPTIMAL
             break
 
-    return _report(mats, scenario, y, scheme, status, trace, iterations)
+    return _report(mats, scenario, y, status, trace, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +591,7 @@ def closed_form_eh_only(mats: CorrelationMatrices, scenario: Scenario) -> SolveR
         raise ValueError("no harvesters in the scenario")
     if scenario.rate_floor > 0:
         raise ValueError("closed_form_eh_only needs a zero rate floor")
-    return _lp_report(mats, scenario, np.arange(mats.n_slots) < k, "eh_only")
+    return _lp_report(mats, scenario, np.arange(mats.n_slots) < k)
 
 
 def closed_form_mixed(
@@ -626,7 +618,7 @@ def closed_form_mixed(
     growth = 2.0**scenario.rate_floor - 1.0
     need = growth * s2 / g
     if scenario.p0 < need:
-        return _infeasible_report(mats, "mixed_closed_form")
+        return _infeasible_report(mats)
 
     idx = np.flatnonzero(mask)
     rho_vec = mats.priorities
@@ -653,7 +645,7 @@ def closed_form_mixed(
         + abs(y.sum() - scenario.p0)
         + (abs(rate_residual) / max(g, 1e-300) if rho != slot else 0.0)
     )
-    return _report(mats, scenario, y, "mixed_closed_form", kkt_norm=kkt_norm)
+    return _report(mats, scenario, y, kkt_norm=kkt_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +673,12 @@ def exhaustive_search(
         if not mask.any():
             log.debug("schedule %s -> empty", schedule)
             if scenario.rate_floor <= 0:
-                best = _report(mats, scenario, np.zeros(n), "exhaustive")
+                best = _report(mats, scenario, np.zeros(n))
             continue
         if scenario.rate_floor > 0 and not mask[mats.n_eh :].any():
             log.debug("schedule %s -> skipped (no decoder under a positive floor)", schedule)
             continue
-        report = sca_solve(mats, scenario, opts, mask, scheme="exhaustive")
+        report = sca_solve(mats, scenario, opts, mask)
         total_iters += report.iterations
         log.debug(
             "schedule %s -> %s objective=%s", schedule, report.status.value, report.objective
@@ -696,5 +688,5 @@ def exhaustive_search(
         if best is None or report.objective > best.objective:
             best = report
     if best is None:
-        return _infeasible_report(mats, "exhaustive")
+        return _infeasible_report(mats)
     return replace(best, iterations=total_iters)

@@ -283,7 +283,6 @@ def test_c08_trend_suite(reference_setup):
                 dataclasses.replace(scn, rate_floor=float(floor)),
                 tight,
                 mask=np.array([False] * 3 + [True] * 2),
-                scheme="far_field_swipt",
             )
             assert report.status is SolveStatus.OPTIMAL
             flat.append(report.objective)

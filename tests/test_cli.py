@@ -101,6 +101,32 @@ class TestCheck:
         assert main(sweep) == EXIT_BAD_INPUT
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["solve", BUNDLED, "--scheme", "bogus"],
+            ["solve", BUNDLED, "--bogus"],
+            ["sweep", BUNDLED, "--variable", "R", "--grid", "2", "--seed", "x"],
+            ["sweep", BUNDLED, "--variable", "R", "--grid", "2", "--draws", "2"],
+        ],
+        ids=["no_command", "unknown_scheme", "unknown_flag", "bad_seed", "draws_flag"],
+    )
+    def test_usage_error_is_bad_input(self, capsys, argv):
+        assert main(argv) == EXIT_BAD_INPUT
+        assert "usage: mfswipt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["--help"], "usage: mfswipt"), (["--version"], "mfswipt 0.1.0")],
+        ids=["help", "version"],
+    )
+    def test_help_and_version_exit_ok(self, capsys, argv, text):
+        assert main(argv) == EXIT_OK
+        assert text in capsys.readouterr().out
+
+
 class TestSolve:
     def test_proposed_on_bundled(self, tmp_path):
         out = tmp_path / "row.csv"

@@ -2,18 +2,34 @@
 
 The sweep files were recorded with all six schemes on the bundled scenario;
 they change only when a solver's numbers, a row's formatting or the header
-change.  The `IterLimit` solve pins the row rule shared by `solve` and
+change.  The `K` and `M` sweeps also pin the receivers drawn from the seed.  The `IterLimit` solve pins the row rule shared by `solve` and
 `sweep`: the objective, rate and schedule cells stay empty unless the status
 is `Optimal`.  The `correlate` files were recorded before the error grid was
 batched by theta-row, which must not move a byte: the bundled default
 reference, one explicit reference pair and a planar (far-field) reference.
+
+`fp_rate_max` is pinned in its last bit (`float.hex`) on the bundled
+scenario and on three drawn instances whose optimum switches decoder 3 off
+(`k2m3b3`, `k4m3b3`: exactly 0 W); rounding there decides whether a decoder
+ends at 0 W, which the convexification loop depends on.
 """
 
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from mfswipt import bundled_scenario_path
+from mfswipt import (
+    PolarLocation,
+    Receiver,
+    build_matrices,
+    bundled_scenario_path,
+    dbm_to_watts,
+    fp_rate_max,
+    parse_scenario,
+    rayleigh_distance,
+)
 from mfswipt.cli import EXIT_ITER_LIMIT, EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
@@ -21,7 +37,9 @@ BUNDLED = str(bundled_scenario_path())
 
 
 @pytest.mark.parametrize(
-    "variable, grid", [("P0_dBm", "20,30"), ("R", "2,5")], ids=["P0_dBm", "R"]
+    "variable, grid",
+    [("P0_dBm", "20,30"), ("R", "2,5"), ("K", "3,4"), ("M", "2,3")],
+    ids=["P0_dBm", "R", "K", "M"],
 )
 def test_sweep_bytes(tmp_path, variable, grid):
     out = tmp_path / "sweep.csv"
@@ -61,3 +79,38 @@ def test_correlate_bytes(tmp_path, name, flags):
     assert grid == (DATA / f"golden_correlate_{name}_error_grid.csv").read_bytes()
     matrices = (tmp_path / "corr_matrices.csv").read_bytes()
     assert matrices == (DATA / "golden_correlate_matrices.csv").read_bytes()
+
+
+FP_CASES = json.loads((DATA / "golden_fp_rate_max.json").read_text())
+
+
+def fp_instance(case):
+    """The bundled scenario, or it with the case's receivers ([theta, r / Z]
+    pairs), budget and the first decoder's noise for every decoder."""
+    cfg, scn = parse_scenario(bundled_scenario_path())
+    if "eh" in case:
+        z = rayleigh_distance(cfg)
+
+        def rx(pair):
+            return Receiver(location=PolarLocation(spatial_angle=pair[0], distance=pair[1] * z))
+
+        scn = replace(
+            scn,
+            eh_receivers=tuple(rx(p) for p in case["eh"]),
+            id_receivers=tuple(rx(p) for p in case["idr"]),
+            sigma2=(scn.sigma2[0],) * len(case["idr"]),
+            p0=dbm_to_watts(case["P0_dBm"]),
+        )
+    return build_matrices(cfg, scn), scn
+
+
+@pytest.mark.parametrize("case", FP_CASES, ids=[c["id"] for c in FP_CASES])
+def test_fp_rate_max_bits(case):
+    res = fp_rate_max(*fp_instance(case))
+    got = {
+        "r_star": res.r_star.hex(),
+        "allocation": [float(p).hex() for p in res.allocation.powers],
+        "gamma": [float(g).hex() for g in res.gamma],
+        "iterations": res.iterations,
+    }
+    assert got == case["expected"]
