@@ -15,7 +15,13 @@ Solvers provided:
 * `sca_solve` - outer linearization of the rate constraint, each round
   expanded at the previous allocation and solved exactly by `inner_convex`
   through the round's Lagrange dual in a rate price and a budget price.
-  A floor above the maximum sum-rate of `fp_rate_max` is infeasible.
+  A floor above the maximum sum-rate of `fp_rate_max` is infeasible.  The
+  dual search runs on Python floats: a round has a handful of active slots,
+  where numpy's per-call overhead outweighs the arithmetic.  It repeats the
+  array arithmetic operation for operation, its sums over the decoders run
+  left to right as numpy's do below 8 elements, and the dot products stay
+  in numpy (BLAS does not sum in order), so the bits are those of the
+  array form.
 * `closed_form_eh_only`, `closed_form_mixed` - stationarity-derived exact
   solutions for the harvester-only and single-decoder cases; only the
   single-decoder form reports a KKT residual.
@@ -251,9 +257,11 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
     scale), and it replaces x2 only if its sum-rate is at least that of x2,
     so the sum-rate never decreases.  The iteration stops when one plain
     step F from the accepted point changes the sum-rate by at most
-    FP_TOLERANCE relative, and returns that step's result; at the returned
-    allocation gamma equals the achieved SINR exactly.  `iterations` counts
-    the evaluations of F.
+    FP_TOLERANCE relative, and returns that step's result, unless one
+    decoder alone at the whole budget reaches a higher sum-rate, in which case
+    the best such vertex is returned.  At the returned allocation gamma
+    equals the achieved SINR exactly.  `iterations` counts the evaluations
+    of F.
     """
     mask = _full_mask(mats, mask)
     if not mask[mats.n_eh :].any():
@@ -304,6 +312,16 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
                 if re >= r2:
                     x2, r2 = xe, re
         x, r = x2, r2
+
+    # the map can stall at a saddle that splits power between decoders which
+    # interfere fully (coincident decoders); a single decoder at full power
+    # then rates higher
+    for m in range(red.n):
+        vertex = np.zeros(red.n)
+        vertex[m] = p0
+        r_vertex = rate(vertex)
+        if r_vertex > r:
+            x, r = vertex, r_vertex
 
     a, b = signal_interference(x)
     alloc = PowerAllocation(red.embed(x))
@@ -356,23 +374,41 @@ class _BoundModel:
     where pos_j is the slot of active decoder j, alpha > 0 and c >= 0 (the
     interference rows enter linearly).  `free` lists the other slots, which
     G depends on linearly; they include any decoder whose alpha underflows
-    to 0 because it has almost no power at the expansion point.
+    to 0 because it has almost no power at the expansion point.  pos, free,
+    alpha and c are Python lists, read element by element by the dual
+    search; c_vec keeps c as an array for the dot product in G.
     """
 
     def __init__(self, red: _Reduced, s: np.ndarray, i: np.ndarray):
         a, b, c0 = _bound_coeffs(s, i)
         alpha = a / red.gain
-        self.pos = red.pos[alpha > 0]
-        self.alpha = alpha[alpha > 0]
-        self.free = np.setdiff1d(np.arange(red.n), self.pos)
-        self.c = b @ red.brow
+        on = alpha > 0
+        free = np.ones(red.n, dtype=bool)
+        free[red.pos[on]] = False
+        self.pos = red.pos[on].tolist()
+        self.alpha = alpha[on].tolist()
+        self.free = np.flatnonzero(free).tolist()
+        self.c_vec = b @ red.brow
+        self.c = self.c_vec.tolist()
         self.const = float((c0 + a * s + b * (i - red.sigma2)).sum())
 
     def value(self, x: np.ndarray) -> float:
-        return self.const - float((self.alpha / x[self.pos]).sum()) - float(self.c @ x)
+        xs = x.tolist()
+        # a decoder power that underflowed to 0 makes G = -inf
+        inverse = _ordered_sum(a / xs[q] if xs[q] else math.inf for a, q in zip(self.alpha, self.pos))
+        return self.const - inverse - float(self.c_vec @ x)
 
 
-def _lagrangian_argmax(model: _BoundModel, w: np.ndarray, nu: float, p0: float) -> np.ndarray:
+def _ordered_sum(values) -> float:
+    """Left-to-right sum from 0.0, which is how numpy sums fewer than 8
+    elements; Python's builtin sum compensates rounding from 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float) -> np.ndarray:
     """Maximize w @ x + nu G(x) over 1'x <= P0, x >= 0, for a rate price nu > 0.
 
     With tau the budget price, decoder slot q takes sqrt(nu alpha_q / beta_q),
@@ -385,45 +421,64 @@ def _lagrangian_argmax(model: _BoundModel, w: np.ndarray, nu: float, p0: float) 
     sum_q x_q = P0, found by Newton on (sum_q x_q)^-2: that is concave in
     beta0 (linear for one decoder), so the iterates rise monotonically to the
     root from the lower bound nu alpha_q0 / P0^2.
+
+    The search runs on Python floats, element by element: a round has at
+    most a few active slots, where each numpy call would cost more than its
+    arithmetic.  Every step is the same correctly rounded IEEE operation, in
+    the same order, as the array form, and the sums over the decoders run
+    left to right as numpy's do below 8 elements, so the result has the same
+    bits (from 8 decoders on numpy sums pairwise; the two then agree to the
+    last few bits).  The weights w come as a list of floats.
     """
-    pos, c = model.pos, model.c
-    d = w - nu * c
+    pos, free, c = model.pos, model.free, model.c
+    d = [wq - nu * cq for wq, cq in zip(w, c)]
+    x = [0.0] * len(w)
     spend = False
-    if model.free.size:
-        p = model.free[int(np.argmax(d[model.free]))]
+    if free:
+        d_free = [d[q] for q in free]
+        p = free[d_free.index(max(d_free))]
         spend = d[p] > 0
-    x = np.zeros(len(w))
-    if not pos.size:  # G is affine: a linear program over the budget
+    if not pos:  # G is affine: a linear program over the budget
         if spend:
             x[p] = p0
-        return x
-    j0 = int(np.argmax(d[pos]))
+        return np.array(x)
+    d_pos = [d[q] for q in pos]
+    j0 = d_pos.index(max(d_pos))
     q0 = pos[j0]
-    rel = (w - w[q0]) - nu * (c - c[q0])  # reduced costs relative to q0's
-    delta = np.maximum(-rel[pos], 0.0)
-    num = nu * model.alpha
-    beta_h = rel[p] if spend else -d[q0]
+    w0, c0 = w[q0], c[q0]
+    delta = [max(-((w[q] - w0) - nu * (c[q] - c0)), 0.0) for q in pos]
+    num = [nu * a for a in model.alpha]
+    beta_h = (w[p] - w0) - nu * (c[p] - c0) if spend else -d[q0]
     beta = max(beta_h, num[j0] / p0**2)
-    t = np.sqrt(num / (beta + delta))
-    s = float(t.sum())
+    if not beta > 0.0:  # nu alpha_q0 underflowed: no finite maximizer at this price
+        return np.full(len(w), math.nan)
+    t = [math.sqrt(n / (beta + e)) for n, e in zip(num, delta)]
+    s = _ordered_sum(t)
     if s > p0 or beta > beta_h:  # the decoders spend the whole budget
         for _ in range(100):
-            step = s * ((s / p0) ** 2 - 1.0) / float((t / (beta + delta)).sum())
+            slope = _ordered_sum([tj / (beta + e) for tj, e in zip(t, delta)])
+            step = s * ((s / p0) ** 2 - 1.0) / slope
             if not beta + step > beta:
                 break
             beta += step
-            t = np.sqrt(num / (beta + delta))
-            s = float(t.sum())
-        x[pos] = t * (p0 / s)
+            t = [math.sqrt(n / (beta + e)) for n, e in zip(num, delta)]
+            s = _ordered_sum(t)
+        ratio = p0 / s
+        for q, tj in zip(pos, t):
+            x[q] = tj * ratio
     else:
-        x[pos] = t
+        for q, tj in zip(pos, t):
+            x[q] = tj
         if spend:
             x[p] = p0 - s
-    return x
+    return np.array(x)
 
 
-def _solve_round(model: _BoundModel, w: np.ndarray, floor: float, p0: float) -> np.ndarray:
-    """Maximize w @ x subject to G(x) >= floor, 1'x <= P0 and x >= 0, exactly.
+def _solve_round(
+    model: _BoundModel, w: np.ndarray, floor: float, p0: float
+) -> tuple[np.ndarray, int]:
+    """Maximize w @ x subject to G(x) >= floor, 1'x <= P0 and x >= 0, exactly,
+    and count the Lagrangian evaluations spent: returns (x, evaluations).
 
     G(x(nu)) at the Lagrangian maximizer x(nu) is non-decreasing in the rate
     price nu, so a bracketing search on log nu (regula falsi, Illinois
@@ -434,25 +489,28 @@ def _solve_round(model: _BoundModel, w: np.ndarray, floor: float, p0: float) -> 
     to 1e-12 of P0 max|w|.  Where two linear slots tie at the optimal price
     G jumps, and that combination is exactly the optimum that splits the
     leftover between them.  All-zero weights select the least total power.
+    The products w @ x stay numpy dots, whose summation order the bits of
+    the stopping test depend on.
     """
     if not w.max() > 0:
         w = -np.ones(len(w))
-    top = _lagrangian_argmax(model, np.zeros(len(w)), 1.0, p0)  # maximizes G
+    weights = w.tolist()
+    top = _lagrangian_argmax(model, [0.0] * len(weights), 1.0, p0)  # maximizes G
     if not model.value(top) > floor + 1e-9 * max(1.0, abs(floor)):
         raise NoFeasibleInterior("rate floor is tight at the current linearization")
-    q = int(np.argmax(w))
-    if w[q] > 0 and (model.pos == q).all():  # the LP vertex keeps G finite
+    q = weights.index(max(weights))
+    if w[q] > 0 and all(j == q for j in model.pos):  # the LP vertex keeps G finite
         vertex = np.zeros(len(w))
         vertex[q] = p0
         if model.value(vertex) >= floor:  # rate price 0: the vertex is optimal
-            return vertex
+            return vertex, 1
 
     scale = float(np.abs(w).max()) * p0
     t = math.log(scale)  # log nu
     ends = {}  # G >= floor (True) or not -> [log nu, G - floor, x, interpolation weight]
     side = best = None
-    for _ in range(200):
-        x = _lagrangian_argmax(model, w, math.exp(t), p0)
+    for evals in range(2, 202):  # evaluation 1 was `top`
+        x = _lagrangian_argmax(model, weights, math.exp(t), p0)
         phi = model.value(x) - floor
         if (phi >= 0) == side and (not side) in ends:
             ends[not side][3] *= 0.5  # Illinois: the same end moved twice
@@ -468,7 +526,7 @@ def _solve_round(model: _BoundModel, w: np.ndarray, floor: float, p0: float) -> 
                 if math.isfinite(dual_lo):  # an underflowed decoder power gives G = -inf
                     bound = min(bound, dual_lo)
             if bound - float(w @ best) <= 1e-12 * scale:
-                return best
+                return best, evals
         if hi is None or lo is None:
             t += math.log(16.0) if hi is None else -math.log(16.0)
             continue
@@ -479,7 +537,7 @@ def _solve_round(model: _BoundModel, w: np.ndarray, floor: float, p0: float) -> 
                 break  # the bracket is at floating-point resolution
     if best is None:
         raise SolverNumericalError("no rate price meets the floor")
-    return best
+    return best, evals
 
 
 def inner_convex(
@@ -487,6 +545,8 @@ def inner_convex(
     mats: CorrelationMatrices,
     scenario: Scenario,
     mask=None,
+    *,
+    stats: dict | None = None,
 ) -> PowerAllocation:
     """Solve one convexified round expanded at allocation y: maximize
     harvested power under the tangent lower bound on the sum-rate, the
@@ -497,7 +557,9 @@ def inner_convex(
     monotonically prefers both at those lower limits, so they are eliminated
     exactly and the round is solved exactly over the allocation alone.
     Raises NoFeasibleInterior when the bound cannot clear the floor, and
-    when a decoder has no power at y (its slack is infinite).
+    when a decoder has no power at y (its slack is infinite).  A `stats`
+    dict, when given, receives "dual_evals": the number of Lagrangian
+    maximizations the round spent.
     """
     red = _Reduced(mats, scenario, mask)
     x = np.asarray(y, dtype=float)[red.idx]
@@ -509,7 +571,9 @@ def inner_convex(
             raise NoFeasibleInterior(
                 f"decoder {m} has a non-finite linearization slack (S={s_m}, I={i_m}): it has no power"
             )
-    x = _solve_round(_BoundModel(red, s, i), red.w, red.rate_floor, red.p0)
+    x, evals = _solve_round(_BoundModel(red, s, i), red.w, red.rate_floor, red.p0)
+    if stats is not None:
+        stats["dual_evals"] = evals
     return PowerAllocation(red.embed(x))
 
 
@@ -557,15 +621,17 @@ def sca_solve(
     trace = [_objective(mats, y)]
     status = SolveStatus.ITER_LIMIT
     iterations = 0
+    stats = {}
     for iterations in range(1, opts.max_outer_iters + 1):
         try:
-            alloc = inner_convex(y, mats, scenario, mask)
+            alloc = inner_convex(y, mats, scenario, mask, stats=stats)
         except NoFeasibleInterior:
             status = SolveStatus.OPTIMAL
             iterations -= 1
             break
         obj_new = _objective(mats, alloc.powers)
         trace.append(obj_new)
+        log.debug("round %d objective=%s dual_evals=%d", iterations, obj_new, stats["dual_evals"])
         if obj_new > trace[-2] or iterations == 1:
             y = alloc.powers
         if trace[-1] - trace[-2] < opts.convergence_threshold * max(abs(trace[-2]), 1e-300):

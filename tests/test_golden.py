@@ -12,6 +12,12 @@ reference, one explicit reference pair and a planar (far-field) reference.
 scenario and on three drawn instances whose optimum switches decoder 3 off
 (`k2m3b3`, `k4m3b3`: exactly 0 W); rounding there decides whether a decoder
 ends at 0 W, which the convexification loop depends on.
+
+The SCA schemes (`proposed`, `far_field_swipt`) and the `exhaustive` oracle
+are pinned the same way, status, objective, allocation, trace and
+iterations, on the bundled scenario at R = 5 and 10 and on those three
+instances at their benchmark floors: the CSV goldens round to 12 digits and
+would miss a last-bit move inside an SCA round.
 """
 
 import json
@@ -23,12 +29,14 @@ import pytest
 from mfswipt import (
     PolarLocation,
     Receiver,
+    SchemeId,
     build_matrices,
     bundled_scenario_path,
     dbm_to_watts,
     fp_rate_max,
     parse_scenario,
     rayleigh_distance,
+    run_scheme,
 )
 from mfswipt.cli import EXIT_ITER_LIMIT, EXIT_OK, main
 
@@ -114,3 +122,31 @@ def test_fp_rate_max_bits(case):
         "iterations": res.iterations,
     }
     assert got == case["expected"]
+
+
+SCA_CASES = json.loads((DATA / "golden_sca_bits.json").read_text())
+SCA_SCHEMES = (SchemeId.PROPOSED, SchemeId.FAR_FIELD_SWIPT, SchemeId.EXHAUSTIVE)
+
+
+def sca_bits(case):
+    """Each scheme's report on the case's instance at floor R, every float as
+    `float.hex` (NaN objectives included)."""
+    fp_case = next(c for c in FP_CASES if c["id"] == case["instance"])
+    mats, scn = fp_instance(fp_case)
+    scn = replace(scn, rate_floor=case["R"])
+    got = {}
+    for scheme in SCA_SCHEMES:
+        rep = run_scheme(scheme, mats, scn)
+        got[scheme.value] = {
+            "status": rep.status.value,
+            "objective": float(rep.objective).hex(),
+            "allocation": [float(p).hex() for p in rep.allocation.powers],
+            "trace": [float(v).hex() for v in rep.trace],
+            "iterations": rep.iterations,
+        }
+    return got
+
+
+@pytest.mark.parametrize("case", SCA_CASES, ids=[c["id"] for c in SCA_CASES])
+def test_sca_bits(case):
+    assert sca_bits(case) == case["expected"]

@@ -1,11 +1,13 @@
 """The exact SCA round (`inner_convex`) against the log-barrier oracle in
 `barrier_oracle.py`, on random geometries and on a hand-built round whose
-optimum splits the leftover budget between two harvesters; the accelerated
-`fp_rate_max` against the plain fixed point in `fp_oracle.py` on random
-geometries; and the Newton water-filling step of `fp_rate_max` against
-bisection."""
+optimum splits the leftover budget between two harvesters; the round's
+Lagrangian maximizer against its numpy array form in `dual_oracle.py`, bit
+for bit, on random bound models; the accelerated `fp_rate_max` against the
+plain fixed point in `fp_oracle.py` on random geometries; and the Newton
+water-filling step of `fp_rate_max` against bisection."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from barrier_oracle import barrier_round
 from conftest import achieved_sinr, random_geometry_instance
+from dual_oracle import lagrangian_argmax
 from fp_oracle import DecoderProblem, water_fill_by_bisection
 from mfswipt import (
     CorrelationMatrices,
@@ -25,7 +28,7 @@ from mfswipt import (
     fp_rate_max,
     inner_convex,
 )
-from mfswipt.solvers import FP_TOLERANCE, _water_fill
+from mfswipt.solvers import FP_TOLERANCE, _BoundModel, _lagrangian_argmax, _water_fill
 
 P0_DBM = (20.0, 44.0)
 
@@ -114,6 +117,59 @@ def test_rate_max_agrees_with_plain_fixed_point(array256, seed, n_eh, n_id, p0_d
 
     x = y[n_eh:]
     assert problem.rate(problem.step(x)) - problem.rate(x) <= FP_TOLERANCE * max(1.0, r_star)
+
+
+@st.composite
+def bound_models(draw, decoders):
+    """(bound model, weights, rate price, budget) of a random round: `decoders`
+    decoder slots among up to 4 free ones, expanded at slacks of realistic
+    size.  Optionally one decoder's alpha underflows to 0 (it has almost no
+    power, so it joins the free slots), two slots tie in their reduced
+    costs at every price, or the weights are all zero or all -1 (what the
+    round substitutes for all-zero weights)."""
+    m = draw(decoders)
+    n = m + draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = np.sort(rng.choice(n, m, replace=False))
+    gain = 10.0 ** rng.uniform(-10.0, -7.0, m)
+    s = 1.0 / (gain * 10.0 ** rng.uniform(-3.0, 2.0, m))
+    i = 10.0 ** rng.uniform(-11.0, -8.0, m)
+    if draw(st.booleans()):
+        s[0] = i[0] = 1e200  # alpha and b underflow to 0
+    lam = rng.uniform(0.0, 0.5, (m, n)) * (rng.random((m, n)) < 0.8)
+    lam[np.arange(m), pos] = 0.0
+    brow = gain[:, None] * lam
+    weights = draw(st.sampled_from(["random", "random", "random", "zero", "minus_one"]))
+    w = {"random": 10.0 ** rng.uniform(-7.0, -4.0, n), "zero": np.zeros(n), "minus_one": -np.ones(n)}[weights]
+    if n >= 2 and draw(st.booleans()):
+        u, v = rng.choice(n, 2, replace=False)
+        brow[:, v] = brow[:, u]
+        w[v] = w[u]
+    red = SimpleNamespace(n=n, pos=pos, gain=gain, brow=brow, sigma2=np.full(m, 1e-11))
+    with np.errstate(over="ignore"):
+        model = _BoundModel(red, s, i)
+    # rate prices around the one where interference costs match the weights
+    ratio = (np.abs(w).max() or 1.0) / (model.c_vec.max() or 1.0)
+    nu = 10.0 ** draw(st.floats(-3.0, 3.0)) * ratio
+    p0 = 10.0 ** draw(st.floats(-1.0, 2.0))
+    return model, w, nu, p0
+
+
+@given(case=bound_models(st.integers(1, 7)))
+def test_float_dual_search_matches_array_form_bits(case):
+    model, w, nu, p0 = case
+    got = _lagrangian_argmax(model, w.tolist(), nu, p0)
+    want = lagrangian_argmax(model, w, nu, p0)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+@given(case=bound_models(st.integers(8, 10)))
+def test_float_dual_search_matches_array_form_many_decoders(case):
+    # numpy sums 8 or more elements pairwise, the float search left to right
+    model, w, nu, p0 = case
+    got = _lagrangian_argmax(model, w.tolist(), nu, p0)
+    want = lagrangian_argmax(model, w, nu, p0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * p0)
 
 
 def two_harvester_round(coupling=0.05, rate_floor=4.0):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +263,17 @@ class TestScaSolve:
             assert y.sum() <= scn.p0 * (1 + 1e-7)
             assert sum_rate(mats, scn.sigma2, y) >= scn.rate_floor - 1e-5
 
+    def test_debug_log_has_one_line_per_round(self, reference_setup, caplog):
+        _, scn, mats = reference_setup
+        with caplog.at_level(logging.DEBUG, logger="mfswipt.solvers"):
+            report = sca_solve(mats, scn)
+        rounds = [r.message for r in caplog.records if r.message.startswith("round ")]
+        assert report.iterations > 0 and len(rounds) == report.iterations
+        for i, line in enumerate(rounds, start=1):
+            match = re.fullmatch(r"round (\d+) objective=(\S+) dual_evals=(\d+)", line)
+            assert match and int(match[1]) == i and int(match[3]) >= 1
+            assert float(match[2]) == report.trace[i]
+
     def test_mask_pins_slots(self, reference_setup):
         _, scn, mats = reference_setup
         mask = np.array([False, True, True, True, True])
@@ -481,6 +494,28 @@ class TestEdgeCases:
         assert report.iterations == 2
         # the iterate returned is still feasible
         assert sum_rate(mats, scn.sigma2, report.allocation) >= scn.rate_floor - 1e-5
+
+    def test_coincident_decoders_not_reported_infeasible(self, reference_setup):
+        # two decoders at one point interfere fully, and the rate-maximizing
+        # fixed point stalls at the even split [0.5, 0.5] W (1.98 bps/Hz);
+        # one decoder alone at the budget reaches 7.13 bps/Hz, above R = 5
+        cfg, scn, _ = reference_setup
+        first = scn.id_receivers[0]
+        scn = dataclasses.replace(scn, id_receivers=(first, first))
+        mats = build_matrices(cfg, scn)
+        k = mats.n_eh
+        single = []
+        for m in range(mats.n_id):
+            y = np.zeros(mats.n_slots)
+            y[k + m] = scn.p0
+            single.append(sum_rate(mats, scn.sigma2, y))
+        assert fp_rate_max(mats, scn).r_star >= max(single) > scn.rate_floor
+        for mask in (None, np.arange(mats.n_slots) >= k):  # proposed, far-field
+            report = sca_solve(mats, scn, mask=mask)
+            assert report.status is SolveStatus.OPTIMAL
+            y = report.allocation.powers
+            assert (y >= 0).all() and y.sum() <= scn.p0 * (1 + 1e-12)
+            assert sum_rate(mats, scn.sigma2, y) >= scn.rate_floor - 1e-9
 
     def test_harvester_only_closed_form_needs_harvesters(self, array256):
         scn = Scenario(
