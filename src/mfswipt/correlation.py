@@ -6,6 +6,11 @@ vectors measures how much power a beam aimed at q leaks to p.  Collecting
 every pairwise value gives the coupling matrix Lambda; zeroing the diagonal
 entries of the decoder slots (decoders do not harvest their own beam's
 energy budget twice) gives the masked variant used throughout the solvers.
+
+The Fresnel integrals are a numpy port of `fresnl` from the Cephes library
+(S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989),
+with the trigonometric terms reduced as scipy's `xsf` does, so they equal
+`scipy.special.fresnel` (scipy 1.17.1) bit for bit without importing scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .geometry import (
     ArrayConfig,
@@ -58,8 +62,84 @@ def fresnel(beta: float) -> FresnelPair:
     """Fresnel integrals C(beta) = int_0^beta cos(pi t^2/2) dt and the sine analogue."""
     if not math.isfinite(beta):
         raise ValueError(f"fresnel needs a finite argument, got {beta}")
-    s, c = special.fresnel(beta)
+    s, c = _fresnl(beta)
     return FresnelPair(c_val=float(c), s_val=float(s))
+
+
+# Cephes fresnl.c rational approximations, highest power first: S and C for
+# x^2 < 2.5625 in t = x^4, the auxiliary f and g beyond it in u = 1/(pi x^2)^2
+_SN = (-2.99181919401019853726e3, 7.08840045257738576863e5, -6.29741486205862506537e7,
+       2.54890880573376359104e9, -4.42979518059697779103e10, 3.18016297876567817986e11)
+_SD = (2.81376268889994315696e2, 4.55847810806532581675e4, 5.17343888770096400730e6,
+       4.19320245898111231129e8, 2.24411795645340920940e10, 6.07366389490084639049e11)
+_CN = (-4.98843114573573548651e-8, 9.50428062829859605134e-6, -6.45191435683965050962e-4,
+       1.88843319396703850064e-2, -2.05525900955013891793e-1, 9.99999999999999998822e-1)
+_CD = (3.99982968972495980367e-12, 9.15439215774657478799e-10, 1.25001862479598821474e-7,
+       1.22262789024179030997e-5, 8.68029542941784300606e-4, 4.12142090722199792936e-2,
+       1.00000000000000000118e0)
+_FN = (4.21543555043677546506e-1, 1.43407919780758885261e-1, 1.15220955073585758835e-2,
+       3.45017939782574027900e-4, 4.63613749287867322088e-6, 3.05568983790257605827e-8,
+       1.02304514164907233465e-10, 1.72010743268161828879e-13, 1.34283276233062758925e-16,
+       3.76329711269987889006e-20)
+_FD = (7.51586398353378947175e-1, 1.16888925859191382142e-1, 6.44051526508858611005e-3,
+       1.55934409164153020873e-4, 1.84627567348930545870e-6, 1.12699224763999035261e-8,
+       3.60140029589371370404e-11, 5.88754533621578410010e-14, 4.52001434074129701496e-17,
+       1.25443237090011264384e-20)
+_GN = (5.04442073643383265887e-1, 1.97102833525523411709e-1, 1.87648584092575249293e-2,
+       6.84079380915393090172e-4, 1.15138826111884280931e-5, 9.82852443688422223854e-8,
+       4.45344415861750144738e-10, 1.08268041139020870318e-12, 1.37555460633261799868e-15,
+       8.36354435630677421531e-19, 1.86958710162783235106e-22)
+_GD = (1.47495759925128324529e0, 3.37748989120019970451e-1, 2.53603741420338795122e-2,
+       8.14679107184306179049e-4, 1.27545075667729118702e-5, 1.04314589657571990585e-7,
+       4.60680728146520428211e-10, 1.10273215066240270757e-12, 1.38796531259578871258e-15,
+       8.39158816283118707363e-19, 1.86958710162783236342e-22)
+
+
+def _horner(x, coef, monic=False):
+    """Cephes polevl, or p1evl (an implied leading coefficient 1) when `monic`."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _sinpi_cospi(x):
+    """sin(pi x) and cos(pi x) for x >= 0, reduced by fmod(x, 2) as xsf does."""
+    r = np.fmod(x, 2.0)
+    sin = np.where(
+        r < 0.5,
+        np.sin(np.pi * r),
+        np.where(r > 1.5, np.sin(np.pi * (r - 2.0)), -np.sin(np.pi * (r - 1.0))),
+    )
+    cos = np.where(r < 1.0, -np.sin(np.pi * (r - 0.5)), np.sin(np.pi * (r - 1.5)))
+    return sin, np.where(r == 0.5, 0.0, cos)
+
+
+def _fresnl(x) -> tuple[np.ndarray, np.ndarray]:
+    """(S(x), C(x)) elementwise, every branch evaluated and the right one kept."""
+    x = np.asarray(x, dtype=float)
+    # |x| above ~1e154 overflows x^2; such arguments give NaN, as in Cephes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = np.abs(x)
+        x2 = a * a
+        t = x2 * x2
+        s_small = a * x2 * _horner(t, _SN) / _horner(t, _SD, monic=True)
+        c_small = a * _horner(t, _CN) / _horner(t, _CD)
+        sin, cos = _sinpi_cospi(x2 / 2)
+        pia = np.pi * a
+        s_far = 0.5 - 1.0 / pia * cos
+        c_far = 0.5 + 1.0 / pia * sin
+        pix2 = np.pi * x2
+        u = 1.0 / (pix2 * pix2)
+        f = 1.0 - u * _horner(u, _FN) / _horner(u, _FD, monic=True)
+        g = 1.0 / pix2 * _horner(u, _GN) / _horner(u, _GD, monic=True)
+        s_mid = 0.5 - (f * cos + g * sin) / pia
+        c_mid = 0.5 + (f * sin - g * cos) / pia
+    branch = [np.isinf(a), x2 < 2.5625, a > 36974.0]
+    s = np.select(branch, [0.5, s_small, s_far], s_mid)
+    c = np.select(branch, [0.5, c_small, c_far], c_mid)
+    negative = x < 0.0
+    return np.where(negative, -s, s), np.where(negative, -c, c)
 
 
 def _coherence(v_p: np.ndarray, v_q: np.ndarray) -> float:
@@ -83,8 +163,8 @@ def _closed_form(cfg: ArrayConfig, theta_p, curv_p, theta_q, curv_q) -> np.ndarr
     with np.errstate(divide="ignore", invalid="ignore"):
         b1 = (theta_q - theta_p) / root
         b2 = cfg.n_antennas / 2.0 * root
-        s_plus, c_plus = special.fresnel(b1 + b2)
-        s_minus, c_minus = special.fresnel(b1 - b2)
+        s_plus, c_plus = _fresnl(b1 + b2)
+        s_minus, c_minus = _fresnl(b1 - b2)
         value = np.hypot(c_plus - c_minus, s_plus - s_minus) / (2.0 * b2)
     return np.where(kappa == 0.0, np.nan, value)
 
@@ -118,8 +198,10 @@ def correlation_grid(
     Entry [i, j] of both arrays belongs to the point (thetas[i], radii[j]),
     whose distance must be finite.  `approx` is NaN where correlation_approx
     raises DegenerateGeometryError.  Both equal the scalar functions bit for
-    bit.  The grid is built one theta-row at a time, so memory stays at
-    O(len(radii) * N).
+    bit.  The steering vectors are built one theta-row at a time, so memory
+    stays at O(len(radii) * N); the closed form runs once over the whole grid,
+    on curvatures taken per row from the Python-float theta as the scalar path
+    takes them.
     """
     thetas = np.asarray(thetas, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -128,11 +210,12 @@ def correlation_grid(
     v_ref = near_steering(cfg, ref)
     curv_ref = _curvature(ref.spatial_angle, ref.distance)
     exact = np.empty((len(thetas), len(radii)))
-    approx = np.empty_like(exact)
+    curv = np.empty_like(exact)
     for i, theta in enumerate(thetas.tolist()):
         block = _spherical_steering(cfg, theta, radii[:, None])
         exact[i] = [_coherence(v_ref, v) for v in block]
-        approx[i] = _closed_form(cfg, ref.spatial_angle, curv_ref, theta, _curvature(theta, radii))
+        curv[i] = _curvature(theta, radii)
+    approx = _closed_form(cfg, ref.spatial_angle, curv_ref, thetas[:, None], curv)
     return exact, approx
 
 

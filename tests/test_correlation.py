@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import integrate, special
 
 from mfswipt import (
     ArrayConfig,
@@ -20,6 +23,14 @@ from mfswipt import (
     fresnel_min_distance,
     rayleigh_distance,
 )
+from mfswipt.correlation import _fresnl
+
+# the array256 fixture's array, for strategy bounds
+_CFG256 = ArrayConfig(n_antennas=256, carrier_freq=30e9)
+RMIN, Z256 = fresnel_min_distance(_CFG256), rayleigh_distance(_CFG256)
+# angles whose C pow square (Python's theta ** 2) differs in the last bit from
+# theta * theta, which numpy's array ** 2 computes; about 0.1% of all angles
+POW_SQUARE_ANGLES = [t for t in np.linspace(0.71, 1.0, 20001).tolist() if t**2 != t * t][:8]
 
 
 def quad_fresnel(beta: float) -> tuple[float, float]:
@@ -84,6 +95,27 @@ class TestFresnel:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             fresnel(math.inf)
+
+    def test_port_equals_scipy_bit_for_bit(self):
+        # the numpy port must reproduce scipy's sinpi/cospi reduction: with
+        # sin(pi x^2 / 2) taken directly, about 0.5% of the +-40 draws move
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            rng.uniform(-1.6, 1.6, 20_000),
+            rng.uniform(-40.0, 40.0, 20_000),
+            10.0 ** rng.uniform(-8.0, 6.0, 20_000),
+        ])  # fmt: skip
+        got_s, got_c = _fresnl(x)
+        want_s, want_c = special.fresnel(x)
+        assert got_s.tobytes() == want_s.tobytes()
+        assert got_c.tobytes() == want_c.tobytes()
+
+    def test_huge_argument_is_quiet(self):
+        # x^2 overflows past ~1e154; the result is NaN, as in scipy, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = fresnel(1e300)
+        assert math.isnan(pair.c_val) and math.isnan(pair.s_val)
 
 
 class TestCorrelationExact:
@@ -205,6 +237,35 @@ class TestCorrelationGrid:
         assert exact.tobytes() == want_exact.tobytes()
         degenerate = np.isnan(want_approx)
         assert degenerate.any()
+        assert np.array_equal(np.isnan(approx), degenerate)
+        assert approx[~degenerate].tobytes() == want_approx[~degenerate].tobytes()
+
+    @given(
+        ref_theta=st.floats(-1.0, 1.0),
+        ref_r=st.one_of(st.just(math.inf), st.floats(RMIN, 3.0 * Z256)),
+        thetas=st.lists(
+            st.floats(-1.0, 1.0) | st.sampled_from(POW_SQUARE_ANGLES), min_size=1, max_size=4
+        ),
+        radii=st.lists(st.floats(RMIN, 3.0 * Z256), min_size=1, max_size=4),
+        twins=st.booleans(),
+    )
+    def test_random_grid_equals_scalar_functions(
+        self, array256, ref_theta, ref_r, thetas, radii, twins
+    ):
+        # a last-bit move in the grid's curvature shows only on some points,
+        # such as POW_SQUARE_ANGLES; `twins` adds points that share the
+        # reference's curvature: (+-ref_theta, ref_r), and theta = 1 against a
+        # planar reference
+        ref = PolarLocation(ref_theta, ref_r)
+        if twins:
+            thetas = thetas + [ref_theta, -ref_theta, 1.0]
+            radii = radii + ([ref_r] if math.isfinite(ref_r) else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            exact, approx = correlation_grid(array256, ref, thetas, radii)
+        want_exact, want_approx = self._scalar_grid(array256, ref, thetas, radii)
+        assert exact.tobytes() == want_exact.tobytes()
+        degenerate = np.isnan(want_approx)
         assert np.array_equal(np.isnan(approx), degenerate)
         assert approx[~degenerate].tobytes() == want_approx[~degenerate].tobytes()
 

@@ -18,12 +18,22 @@ are pinned the same way, status, objective, allocation, trace and
 iterations, on the bundled scenario at R = 5 and 10 and on those three
 instances at their benchmark floors: the CSV goldens round to 12 digits and
 would miss a last-bit move inside an SCA round.
+
+The Fresnel integrals are pinned in their last bit against values recorded
+from `scipy.special.fresnel` (scipy 1.17.1), before the package's own port
+of Cephes `fresnl` replaced it: zero, signed zero, infinities and
+subnormals, both sides of the small-argument edge (x^2 < 2.5625) and of the
+asymptote edge (x > 36974), arguments whose square overflows (NaN, as in
+scipy), negative arguments, 200 log-spaced points over 1e-8..1e6 and 200
+uniform points on +-40.  The check imports no scipy.
 """
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfswipt import (
@@ -34,11 +44,13 @@ from mfswipt import (
     bundled_scenario_path,
     dbm_to_watts,
     fp_rate_max,
+    fresnel,
     parse_scenario,
     rayleigh_distance,
     run_scheme,
 )
 from mfswipt.cli import EXIT_ITER_LIMIT, EXIT_OK, main
+from mfswipt.correlation import _fresnl
 
 DATA = Path(__file__).parent / "data"
 BUNDLED = str(bundled_scenario_path())
@@ -150,3 +162,19 @@ def sca_bits(case):
 @pytest.mark.parametrize("case", SCA_CASES, ids=[c["id"] for c in SCA_CASES])
 def test_sca_bits(case):
     assert sca_bits(case) == case["expected"]
+
+
+FRESNEL_CASES = json.loads((DATA / "golden_fresnel.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", FRESNEL_CASES, ids=[c["id"] for c in FRESNEL_CASES])
+def test_fresnel_bits(case):
+    x = [float.fromhex(v) for v in case["x"]]
+    s, c = _fresnl(np.array(x))
+    assert [float(v).hex() for v in s] == case["S"]
+    assert [float(v).hex() for v in c] == case["C"]
+    # the scalar entry point takes the same path one argument at a time
+    for v, want_s, want_c in zip(x, case["S"], case["C"]):
+        if math.isfinite(v):
+            pair = fresnel(v)
+            assert (pair.s_val.hex(), pair.c_val.hex()) == (want_s, want_c)
