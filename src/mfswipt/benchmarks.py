@@ -203,12 +203,7 @@ def _draw_receiver(rng: np.random.Generator, cfg: ArrayConfig, annulus: tuple) -
 
 
 def _scenario_for_point(
-    spec: SweepSpec,
-    cfg: ArrayConfig,
-    base: Scenario,
-    value,
-    extra_eh: list[Receiver],
-    extra_id: list[Receiver],
+    spec: SweepSpec, base: Scenario, value, extra_eh: list[Receiver], extra_id: list[Receiver]
 ) -> Scenario:
     if spec.variable == "P0_dBm":
         return replace(base, p0=dbm_to_watts(float(value)))
@@ -259,7 +254,7 @@ def run_sweep(
     rows: list[ResultRow] = []
     for value in spec.grid:
         try:
-            scenario = _scenario_for_point(spec, cfg, base_scenario, value, extra_eh, extra_id)
+            scenario = _scenario_for_point(spec, base_scenario, value, extra_eh, extra_id)
             mats = build_matrices(cfg, scenario)
         except Exception as exc:
             rows += [

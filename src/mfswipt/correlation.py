@@ -190,6 +190,10 @@ def correlation_approx(cfg: ArrayConfig, loc_p: PolarLocation, loc_q: PolarLocat
     return value
 
 
+# grid points per closed-form call in correlation_grid
+_CLOSED_FORM_BLOCK = 10_000
+
+
 def correlation_grid(
     cfg: ArrayConfig, ref: PolarLocation, thetas, radii
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -199,9 +203,11 @@ def correlation_grid(
     whose distance must be finite.  `approx` is NaN where correlation_approx
     raises DegenerateGeometryError.  Both equal the scalar functions bit for
     bit.  The steering vectors are built one theta-row at a time, so memory
-    stays at O(len(radii) * N); the closed form runs once over the whole grid,
-    on curvatures taken per row from the Python-float theta as the scalar path
-    takes them.
+    stays at O(len(radii) * N).  The closed form evaluates every branch of the
+    Fresnel integrals, so its temporaries are ~28x its output: it runs over
+    blocks of whole rows of at most _CLOSED_FORM_BLOCK points (at least one
+    row), on curvatures taken per row from the Python-float theta as the
+    scalar path takes them.
     """
     thetas = np.asarray(thetas, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -215,7 +221,13 @@ def correlation_grid(
         block = _spherical_steering(cfg, theta, radii[:, None])
         exact[i] = [_coherence(v_ref, v) for v in block]
         curv[i] = _curvature(theta, radii)
-    approx = _closed_form(cfg, ref.spatial_angle, curv_ref, thetas[:, None], curv)
+    approx = np.empty_like(exact)
+    rows = max(1, _CLOSED_FORM_BLOCK // max(len(radii), 1))
+    for i in range(0, len(thetas), rows):
+        block = slice(i, i + rows)
+        approx[block] = _closed_form(
+            cfg, ref.spatial_angle, curv_ref, thetas[block, None], curv[block]
+        )
     return exact, approx
 
 

@@ -10,6 +10,7 @@ distances are meters, powers are linear watts.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -52,14 +53,15 @@ class ArrayConfig:
     aperture: float | None = None
 
     def __post_init__(self):
-        if self.n_antennas < 2:
-            raise ValueError(f"n_antennas must be >= 2, got {self.n_antennas}")
-        if self.carrier_freq <= 0:
-            raise ValueError(f"carrier_freq must be > 0, got {self.carrier_freq}")
-        if self.spacing is not None and self.spacing <= 0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing}")
-        if self.aperture is not None and self.aperture <= 0:
-            raise ValueError(f"aperture must be > 0, got {self.aperture}")
+        n = self.n_antennas
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError(f"n_antennas must be an integer >= 2, got {n!r}")
+        if not 0 < self.carrier_freq < math.inf:
+            raise ValueError(f"carrier_freq must be finite and > 0, got {self.carrier_freq}")
+        if self.spacing is not None and not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
+        if self.aperture is not None and not 0 < self.aperture < math.inf:
+            raise ValueError(f"aperture must be finite and > 0, got {self.aperture}")
 
     @property
     def wavelength(self) -> float:

@@ -70,8 +70,8 @@ class Receiver:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"weight must be finite and >= 0, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,12 @@ class Scenario:
                 f"need one noise power per information receiver, got {len(self.sigma2)} "
                 f"for {len(self.id_receivers)} receivers"
             )
-        if any(s <= 0 for s in self.sigma2):
-            raise ValueError("noise powers must be > 0")
-        if self.p0 <= 0:
-            raise ValueError(f"power budget must be > 0, got {self.p0}")
-        if self.rate_floor < 0:
-            raise ValueError(f"rate floor must be >= 0, got {self.rate_floor}")
+        if not all(0 < s < math.inf for s in self.sigma2):
+            raise ValueError(f"noise powers must be finite and > 0, got {self.sigma2}")
+        if not 0 < self.p0 < math.inf:
+            raise ValueError(f"power budget must be finite and > 0, got {self.p0}")
+        if not 0 <= self.rate_floor < math.inf:
+            raise ValueError(f"rate floor must be finite and >= 0, got {self.rate_floor}")
         if not 0 < self.zeta <= 1:
             raise ValueError(f"harvesting efficiency must lie in (0, 1], got {self.zeta}")
 
@@ -115,10 +115,6 @@ class Scenario:
     @property
     def n_id(self) -> int:
         return len(self.id_receivers)
-
-    @property
-    def n_slots(self) -> int:
-        return self.n_eh + self.n_id
 
 
 def bundled_scenario_path() -> Path:
@@ -138,10 +134,17 @@ _EH_MODEL_KEYS = {"zeta"}
 _TOP_KEYS = {"array", "eh_receivers", "id_receivers", "power", "constraints", "eh_model", "solver"}
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _mapping(value, where: str, allowed: set | None = None) -> dict:
+    """A block as a mapping (an empty block reads as {}), refusing any key
+    outside `allowed` when that is given."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be a mapping")
+    unknown = set() if allowed is None else set(value) - allowed
     if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ScenarioError(f"unknown key(s) {sorted(unknown, key=str)} in {where}")
+    return value
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -150,10 +153,8 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _parse_array(block: dict) -> ArrayConfig:
-    if not isinstance(block, dict):
-        raise ScenarioError("array block must be a mapping")
-    _reject_unknown(block, _ARRAY_KEYS, "array")
+def _parse_array(block) -> ArrayConfig:
+    block = _mapping(block, "array", _ARRAY_KEYS)
     n = _require(block, "n_antennas", "array")
     f_ghz = _require(block, "f_GHz", "array")
     spacing = None
@@ -168,7 +169,7 @@ def _parse_array(block: dict) -> ArrayConfig:
     aperture = float(block["aperture_m"]) if "aperture_m" in block else None
     try:
         return ArrayConfig(
-            n_antennas=int(n), carrier_freq=float(f_ghz) * 1e9, spacing=spacing, aperture=aperture
+            n_antennas=n, carrier_freq=float(f_ghz) * 1e9, spacing=spacing, aperture=aperture
         )
     except ValueError as exc:
         raise ScenarioError(f"array: {exc}") from exc
@@ -176,15 +177,14 @@ def _parse_array(block: dict) -> ArrayConfig:
 
 def _parse_receiver(entry: dict, z: float, idx: int, kind: str) -> Receiver:
     where = f"{kind}[{idx}]"
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{where} must be a mapping")
-    allowed = _EH_KEYS if kind == "eh_receivers" else _ID_KEYS
-    _reject_unknown(entry, allowed, where)
+    entry = _mapping(entry, where, _EH_KEYS if kind == "eh_receivers" else _ID_KEYS)
     theta = float(_require(entry, "theta", where))
     has_rz, has_rm = "r_over_Z" in entry, "r_m" in entry
     if has_rz == has_rm:
         raise ScenarioError(f"{where}: give exactly one of r_over_Z or r_m")
     r = float(entry["r_over_Z"]) * z if has_rz else float(entry["r_m"])
+    if math.isinf(r):
+        raise ScenarioError(f"{where}: distance must be finite, got {r}")
     try:
         loc = PolarLocation(spatial_angle=theta, distance=r)
         return Receiver(location=loc, weight=float(entry.get("alpha", 1.0)))
@@ -201,7 +201,7 @@ def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
         raise ScenarioError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
-    _reject_unknown(doc, _TOP_KEYS, "scenario")
+    _mapping(doc, "scenario", _TOP_KEYS)
 
     cfg = _parse_array(_require(doc, "array", "scenario"))
     z = rayleigh_distance(cfg)
@@ -213,8 +213,7 @@ def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
     eh = tuple(_parse_receiver(e, z, i, "eh_receivers") for i, e in enumerate(eh_entries))
     idr = tuple(_parse_receiver(e, z, i, "id_receivers") for i, e in enumerate(id_entries))
 
-    power = _require(doc, "power", "scenario")
-    _reject_unknown(power, _POWER_KEYS, "power")
+    power = _mapping(_require(doc, "power", "scenario"), "power", _POWER_KEYS)
     p0 = dbm_to_watts(float(_require(power, "P0_dBm", "power")))
     sig = _require(power, "sigma2_dBm", "power")
     if isinstance(sig, list):
@@ -226,17 +225,13 @@ def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
     else:
         sigma2 = tuple(dbm_to_watts(float(sig)) for _ in idr)
 
-    constraints = doc.get("constraints") or {}
-    _reject_unknown(constraints, _CONSTRAINT_KEYS, "constraints")
+    constraints = _mapping(doc.get("constraints"), "constraints", _CONSTRAINT_KEYS)
     rate_floor = float(constraints.get("R_bpshz", 0.0))
 
-    eh_model = doc.get("eh_model") or {}
-    _reject_unknown(eh_model, _EH_MODEL_KEYS, "eh_model")
+    eh_model = _mapping(doc.get("eh_model"), "eh_model", _EH_MODEL_KEYS)
     zeta = float(eh_model.get("zeta", 0.5))
 
-    solver = doc.get("solver") or {}
-    if not isinstance(solver, dict):
-        raise ScenarioError("solver block must be a mapping")
+    solver = _mapping(doc.get("solver"), "solver")
 
     try:
         scn = Scenario(

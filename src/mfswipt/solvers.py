@@ -22,9 +22,10 @@ Solvers provided:
   left to right as numpy's do below 8 elements, and the dot products stay
   in numpy (BLAS does not sum in order), so the bits are those of the
   array form.
-* `closed_form_eh_only`, `closed_form_mixed` - stationarity-derived exact
-  solutions for the harvester-only and single-decoder cases; only the
-  single-decoder form reports a KKT residual.
+* `closed_form_eh_only`, `closed_form_mixed` - the harvester-only and
+  single-decoder cases.  Schedules with at most one decoder are solved
+  exactly as a linear program by comparing its vertices; `sca_solve` does
+  the same for them and runs no rounds.
 * `exhaustive_search` - brute force over all 2^(K+M) schedules, the
   benchmark oracle.
 
@@ -196,7 +197,6 @@ def _report(
     status: SolveStatus = SolveStatus.OPTIMAL,
     trace: tuple | None = None,
     iterations: int = 0,
-    kkt_norm: float | None = None,
 ) -> SolveReport:
     """Report of allocation y: its objective, and its rate and budget residuals
     measured on y itself.  The trace defaults to the objective alone."""
@@ -205,8 +205,6 @@ def _report(
         "rate_slack": sum_rate(mats, scenario.sigma2, y) - scenario.rate_floor,
         "power_slack": scenario.p0 - float(y.sum()),
     }
-    if kkt_norm is not None:
-        residuals["kkt_norm"] = kkt_norm
     return SolveReport(
         allocation=PowerAllocation(y),
         objective=obj,
@@ -582,11 +580,39 @@ def inner_convex(
 
 
 def _lp_report(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray) -> SolveReport:
-    """Exact solution when the rate floor is absent: a linear program over the
-    simplex, optimized at the single active slot of highest priority."""
+    """Exact solution of a schedule with no floor or at most one decoder: the
+    best vertex of its linear program, ties going to the lowest slot.
+
+    Every priority is >= 0, so the budget is tight.  Without a floor the
+    vertices are the slots alone at P0.  With one decoder d the floor is the
+    row g y_d >= gamma (g lambda_d @ y + sigma2), gamma = 2^R - 1, met when
+    r* = log2(1 + g P0 / sigma2) reaches R - FEASIBILITY_TOLERANCE; the
+    vertices are d alone at P0 and each pair (j, d) with both rows tight:
+    y_j = (P0 - need) / (1 + gamma lambda_dj), y_d = P0 - y_j, where
+    need = gamma sigma2 / g, clamped to P0.
+    """
     idx = np.flatnonzero(mask)
+    act_ids = np.flatnonzero(mask[mats.n_eh :])
+    rho, p0, floor = mats.priorities, scenario.p0, scenario.rate_floor
     y = np.zeros(mats.n_slots)
-    y[idx[np.argmax(mats.priorities[idx])]] = scenario.p0
+    if len(act_ids) == 0 or floor <= 0:
+        if len(act_ids) == 0 and floor > FEASIBILITY_TOLERANCE:
+            return _infeasible_report(mats, r_star=0.0)
+        y[idx[np.argmax(rho[idx])]] = p0
+        return _report(mats, scenario, y)
+
+    m = int(act_ids[0])
+    d, g, s2 = mats.n_eh + m, mats.g_id[m], scenario.sigma2[m]
+    r_star = math.log2(1.0 + g * p0 / s2)
+    if not r_star >= floor - FEASIBILITY_TOLERANCE:  # NaN is infeasible
+        return _infeasible_report(mats, r_star=r_star)
+    growth = 2.0**floor - 1.0
+    need = min(growth * s2 / g, p0) if g > 0 else p0
+    share = (p0 - need) / (1.0 + growth * mats.lambda_masked[d, idx])  # y_j of each pair
+    share[idx == d] = 0.0  # d alone
+    j = int(np.argmax(rho[idx] * share + rho[d] * (p0 - share)))
+    y[idx[j]] = share[j]
+    y[d] = p0 - share[j]
     return _report(mats, scenario, y)
 
 
@@ -598,19 +624,17 @@ def sca_solve(
 ) -> SolveReport:
     """Successive convexification of the rate constraint.
 
-    Starts from the decoder-only rate-maximizing allocation (feasible
-    whenever the problem is), then repeats: expand the rate bound at the
-    current allocation, solve the convexified round, move to its optimum.
+    A schedule with no floor or at most one active decoder is solved exactly
+    by `_lp_report`, with no rounds.  Otherwise the loop starts from the
+    decoder-only rate-maximizing allocation (feasible whenever the problem
+    is), then repeats: expand the rate bound at the current allocation,
+    solve the convexified round, move to its optimum.
     Each round's feasible region contains the previous optimum and the bound
     touches the true rate there, so the objective trace is non-decreasing;
     the loop stops when the fractional increase falls under the threshold.
     """
     mask = _full_mask(mats, mask)
-    decoders = mask[mats.n_eh :].any()
-    if not decoders and scenario.rate_floor > FEASIBILITY_TOLERANCE:
-        return _infeasible_report(mats, r_star=0.0)
-    if not decoders or scenario.rate_floor <= 0:
-        # a linear program: no decoder (the floor is within tolerance) or no floor
+    if scenario.rate_floor <= 0 or np.count_nonzero(mask[mats.n_eh :]) <= 1:
         return _lp_report(mats, scenario, mask)
 
     best = fp_rate_max(mats, scenario, mask)
@@ -649,8 +673,7 @@ def closed_form_eh_only(mats: CorrelationMatrices, scenario: Scenario) -> SolveR
     """Harvester-only allocation: the whole budget to the highest-priority harvester.
 
     Valid when the rate floor is zero: no decoder is scheduled, so no
-    positive floor can be met.  The linear program's optimum is a vertex, so
-    the report carries no KKT residual.
+    positive floor can be met.
     """
     k = mats.n_eh
     if k == 0:
@@ -663,55 +686,14 @@ def closed_form_eh_only(mats: CorrelationMatrices, scenario: Scenario) -> SolveR
 def closed_form_mixed(
     mats: CorrelationMatrices, scenario: Scenario, mask=None
 ) -> SolveReport:
-    """Exact allocation with a single active decoder.
-
-    If the highest-priority slot is a harvester, the decoder gets exactly
-    the power that meets the rate floor with equality (accounting for the
-    harvester beam's leakage into its denominator) and the harvester the
-    rest, so the budget is tight by construction.  If the decoder slot
-    itself has the highest priority, it takes the whole budget.  Infeasible
-    when even the full budget cannot reach the floor.
+    """Exact allocation with a single active decoder: the best vertex of the
+    schedule's linear program (see `_lp_report`).  Infeasible, with r*, when
+    even the full budget on the decoder cannot reach the floor.
     """
     mask = _full_mask(mats, mask)
-    k = mats.n_eh
-    act_ids = np.flatnonzero(mask[k:])
-    if len(act_ids) != 1:
+    if np.count_nonzero(mask[mats.n_eh :]) != 1:
         raise ValueError("closed_form_mixed needs exactly one active decoder")
-    m = int(act_ids[0])
-    slot = k + m
-    g = mats.g_id[m]
-    s2 = scenario.sigma2[m]
-    growth = 2.0**scenario.rate_floor - 1.0
-    need = growth * s2 / g
-    if scenario.p0 < need:
-        return _infeasible_report(mats)
-
-    idx = np.flatnonzero(mask)
-    rho_vec = mats.priorities
-    rho = int(idx[np.argmax(rho_vec[idx])])
-    y = np.zeros(mats.n_slots)
-    if rho == slot:
-        y[slot] = scenario.p0
-        nu = 0.0
-        tau = rho_vec[slot]
-    else:
-        coupling = mats.lambda_masked[rho, slot]
-        y[rho] = (scenario.p0 - need) / (growth * coupling + 1.0)
-        y[slot] = scenario.p0 - y[rho]
-        nu = (rho_vec[rho] - rho_vec[slot]) / (g * (1.0 + growth * coupling))
-        tau = rho_vec[rho] - nu * growth * g * coupling
-
-    # dual feasibility of every active slot; negative prices flag instances
-    # where the priority ranking alone does not determine the optimum
-    mu = tau - rho_vec[idx] + nu * (growth * g * mats.lambda_masked[slot, idx] - g * (idx == slot))
-    rate_residual = growth * (g * float(mats.lambda_masked[slot] @ y) + s2) - g * y[slot]
-    kkt_norm = float(
-        np.linalg.norm(np.minimum(mu, 0.0))
-        + abs(float(mu @ y[idx]))
-        + abs(y.sum() - scenario.p0)
-        + (abs(rate_residual) / max(g, 1e-300) if rho != slot else 0.0)
-    )
-    return _report(mats, scenario, y, kkt_norm=kkt_norm)
+    return _lp_report(mats, scenario, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,20 @@ class TestSolve:
         )
         assert match and float(match[1]) == pytest.approx(11.537, abs=1e-3)
 
+    def test_greedy_pairing_states_max_rate(self, tmp_path, capsys):
+        # gs_opa keeps one decoder, the one of highest gain, whose rate alone
+        # at the whole budget is log2(1 + g P0 / sigma2) = 7.13 bps/Hz
+        scenario = tmp_path / "r15.scenario"
+        scenario.write_text(
+            bundled_scenario_path().read_text().replace("R_bpshz: 5.0", "R_bpshz: 15.0")
+        )
+        assert main(["solve", str(scenario), "--scheme", "gs_opa"]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert "none,,gs_opa,,,,,0,Infeasible,,0\n" in captured.out
+        assert captured.err == (
+            "infeasible: maximum sum-rate r* = 7.13035859078 bps/Hz below R = 15 bps/Hz\n"
+        )
+
     def test_exhaustive_logs_every_schedule(self, tmp_path, caplog):
         out = tmp_path / "row.csv"
         with caplog.at_level(logging.DEBUG, logger="mfswipt.solvers"):

@@ -23,7 +23,7 @@ from mfswipt import (
     fresnel_min_distance,
     rayleigh_distance,
 )
-from mfswipt.correlation import _fresnl
+from mfswipt.correlation import _CLOSED_FORM_BLOCK, _fresnl
 
 # the array256 fixture's array, for strategy bounds
 _CFG256 = ArrayConfig(n_antennas=256, carrier_freq=30e9)
@@ -268,6 +268,17 @@ class TestCorrelationGrid:
         degenerate = np.isnan(want_approx)
         assert np.array_equal(np.isnan(approx), degenerate)
         assert approx[~degenerate].tobytes() == want_approx[~degenerate].tobytes()
+
+    def test_closed_form_blocks_join_bit_for_bit(self, array256):
+        # 150 radii give blocks of 66 rows; 140 rows span three blocks
+        radii = np.geomspace(RMIN, 3.0 * Z256, 150)
+        rows = _CLOSED_FORM_BLOCK // len(radii)
+        thetas = np.linspace(-0.9, 0.9, 2 * rows + 8)
+        ref = PolarLocation(0.1, 20.0)
+        _, approx = correlation_grid(array256, ref, thetas, radii)
+        for i in (rows - 1, rows, 2 * rows - 1, 2 * rows):
+            want = [correlation_approx(array256, ref, PolarLocation(thetas[i], r)) for r in radii]
+            assert approx[i].tobytes() == np.array(want).tobytes()
 
     def test_rejects_points_off_the_grid_domain(self, array256):
         ref = PolarLocation(0.0, 30.0)

@@ -10,6 +10,7 @@ from mfswipt import (
     scenario_to_dict,
     watts_to_dbm,
 )
+from mfswipt.cli import EXIT_BAD_INPUT, main
 from mfswipt.geometry import rayleigh_distance
 from mfswipt.scenario import PolarLocation, Receiver
 
@@ -136,6 +137,54 @@ class TestParsing:
         text = MINIMAL.replace("- {theta: 0.0, r_m: 400.0}", "")
         with pytest.raises(ScenarioError, match="at least one receiver"):
             parse_scenario(write_scenario(tmp_path, text))
+
+
+HARVESTER = "eh_receivers:\n  - {theta: 0.0, r_over_Z: 0.1, alpha: 1.0}"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("power: {P0_dBm: 30.0, sigma2_dBm: -80.0}", "power: 5"),
+        ("power: {P0_dBm: 30.0, sigma2_dBm: -80.0}", "power: [1, 2]"),
+        ("constraints: {R_bpshz: 2.0}", "constraints: 7"),
+        ("constraints: {R_bpshz: 2.0}", "constraints: {R_bpshz: 2.0}\neh_model: 3"),
+        ("constraints: {R_bpshz: 2.0}", "constraints: {R_bpshz: 2.0}\nsolver: [1]"),
+        ("array: {n_antennas: 64, f_GHz: 30.0}", "array: 5"),
+        ("P0_dBm: 30.0", "P0_dBm: .nan"),
+        ("P0_dBm: 30.0", "P0_dBm: .inf"),
+        ("R_bpshz: 2.0", "R_bpshz: .nan"),
+        ("R_bpshz: 2.0", "R_bpshz: .inf"),
+        ("sigma2_dBm: -80.0", "sigma2_dBm: .nan"),
+        ("sigma2_dBm: -80.0", "sigma2_dBm: .inf"),
+        ("eh_receivers: []", HARVESTER.replace("alpha: 1.0", "alpha: .nan")),
+        ("f_GHz: 30.0", "f_GHz: .inf"),
+        ("f_GHz: 30.0", "f_GHz: 30.0, spacing_m: .inf"),
+        ("f_GHz: 30.0", "f_GHz: 30.0, aperture_m: .nan"),
+        ("n_antennas: 64", "n_antennas: 2.7"),
+        ("r_m: 400.0", "r_m: .inf"),
+        ("eh_receivers: []", HARVESTER.replace("r_over_Z: 0.1", "r_over_Z: .inf")),
+    ],
+    ids=[
+        "power_scalar", "power_list", "constraints_scalar", "eh_model_scalar", "solver_list",
+        "array_scalar", "P0_nan", "P0_inf", "R_nan", "R_inf", "sigma2_nan", "sigma2_inf",
+        "alpha_nan", "f_inf", "spacing_inf", "aperture_nan", "n_antennas_fraction", "r_m_inf",
+        "r_over_Z_inf",
+    ],
+)
+def test_malformed_value_is_a_scenario_error(tmp_path, capsys, old, new):
+    # a block that is no mapping, a non-finite number or a fractional element
+    # count is refused by `check`, before any solve could trip over it
+    assert old in MINIMAL
+    path = write_scenario(tmp_path, MINIMAL.replace(old, new))
+    assert main(["check", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("scenario error: ")
+
+
+def test_harvester_line_is_valid(tmp_path):
+    text = MINIMAL.replace("eh_receivers: []", HARVESTER)
+    _, scn = parse_scenario(write_scenario(tmp_path, text))
+    assert scn.n_eh == 1
 
 
 class TestCanonicalForm:

@@ -379,7 +379,6 @@ class TestClosedFormMixed:
             best, _ = eh_priority(mats)
             if best != mats.n_eh:
                 assert abs(report.residuals["rate_slack"]) < 1e-6
-                assert report.residuals["kkt_norm"] < 1e-9 * max(mats.priorities.max(), 1.0)
 
     @pytest.mark.parametrize("decoders", [(False, False), (True, True)], ids=["none", "two"])
     def test_needs_exactly_one_decoder(self, reference_setup, decoders):
