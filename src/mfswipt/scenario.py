@@ -147,6 +147,18 @@ def _mapping(value, where: str, allowed: set | None = None) -> dict:
     return value
 
 
+def _number(value, where: str) -> float:
+    """A numeric value as a float.  YAML reads `yes`, `no`, `true` and
+    `false` as booleans, which float() would take as 1 and 0; they are
+    refused here."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ScenarioError(f"missing key {key!r} in {where}")
@@ -156,20 +168,20 @@ def _require(mapping: dict, key: str, where: str):
 def _parse_array(block) -> ArrayConfig:
     block = _mapping(block, "array", _ARRAY_KEYS)
     n = _require(block, "n_antennas", "array")
-    f_ghz = _require(block, "f_GHz", "array")
+    f_ghz = _number(_require(block, "f_GHz", "array"), "array.f_GHz")
     spacing = None
     if "spacing_m" in block:
         if block.get("spacing", "half_wavelength") != "half_wavelength":
             raise ScenarioError("give either spacing: half_wavelength or spacing_m, not both")
-        spacing = float(block["spacing_m"])
+        spacing = _number(block["spacing_m"], "array.spacing_m")
     elif block.get("spacing", "half_wavelength") != "half_wavelength":
         raise ScenarioError(
             f"spacing policy must be 'half_wavelength' or a spacing_m value, got {block['spacing']!r}"
         )
-    aperture = float(block["aperture_m"]) if "aperture_m" in block else None
+    aperture = _number(block["aperture_m"], "array.aperture_m") if "aperture_m" in block else None
     try:
         return ArrayConfig(
-            n_antennas=n, carrier_freq=float(f_ghz) * 1e9, spacing=spacing, aperture=aperture
+            n_antennas=n, carrier_freq=f_ghz * 1e9, spacing=spacing, aperture=aperture
         )
     except ValueError as exc:
         raise ScenarioError(f"array: {exc}") from exc
@@ -178,16 +190,20 @@ def _parse_array(block) -> ArrayConfig:
 def _parse_receiver(entry: dict, z: float, idx: int, kind: str) -> Receiver:
     where = f"{kind}[{idx}]"
     entry = _mapping(entry, where, _EH_KEYS if kind == "eh_receivers" else _ID_KEYS)
-    theta = float(_require(entry, "theta", where))
+    theta = _number(_require(entry, "theta", where), f"{where}.theta")
     has_rz, has_rm = "r_over_Z" in entry, "r_m" in entry
     if has_rz == has_rm:
         raise ScenarioError(f"{where}: give exactly one of r_over_Z or r_m")
-    r = float(entry["r_over_Z"]) * z if has_rz else float(entry["r_m"])
+    if has_rz:
+        r = _number(entry["r_over_Z"], f"{where}.r_over_Z") * z
+    else:
+        r = _number(entry["r_m"], f"{where}.r_m")
     if math.isinf(r):
         raise ScenarioError(f"{where}: distance must be finite, got {r}")
+    weight = _number(entry.get("alpha", 1.0), f"{where}.alpha")
     try:
         loc = PolarLocation(spatial_angle=theta, distance=r)
-        return Receiver(location=loc, weight=float(entry.get("alpha", 1.0)))
+        return Receiver(location=loc, weight=weight)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -214,22 +230,23 @@ def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
     idr = tuple(_parse_receiver(e, z, i, "id_receivers") for i, e in enumerate(id_entries))
 
     power = _mapping(_require(doc, "power", "scenario"), "power", _POWER_KEYS)
-    p0 = dbm_to_watts(float(_require(power, "P0_dBm", "power")))
+    p0 = dbm_to_watts(_number(_require(power, "P0_dBm", "power"), "power.P0_dBm"))
     sig = _require(power, "sigma2_dBm", "power")
     if isinstance(sig, list):
         if len(sig) != len(idr):
             raise ScenarioError(
                 f"power.sigma2_dBm lists {len(sig)} values for {len(idr)} id_receivers"
             )
-        sigma2 = tuple(dbm_to_watts(float(s)) for s in sig)
+        sigma2 = tuple(dbm_to_watts(_number(s, "power.sigma2_dBm")) for s in sig)
     else:
-        sigma2 = tuple(dbm_to_watts(float(sig)) for _ in idr)
+        noise = _number(sig, "power.sigma2_dBm")
+        sigma2 = tuple(dbm_to_watts(noise) for _ in idr)
 
     constraints = _mapping(doc.get("constraints"), "constraints", _CONSTRAINT_KEYS)
-    rate_floor = float(constraints.get("R_bpshz", 0.0))
+    rate_floor = _number(constraints.get("R_bpshz", 0.0), "constraints.R_bpshz")
 
     eh_model = _mapping(doc.get("eh_model"), "eh_model", _EH_MODEL_KEYS)
-    zeta = float(eh_model.get("zeta", 0.5))
+    zeta = _number(eh_model.get("zeta", 0.5), "eh_model.zeta")
 
     solver = _mapping(doc.get("solver"), "solver")
 

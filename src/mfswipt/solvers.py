@@ -15,13 +15,18 @@ Solvers provided:
 * `sca_solve` - outer linearization of the rate constraint, each round
   expanded at the previous allocation and solved exactly by `inner_convex`
   through the round's Lagrange dual in a rate price and a budget price.
-  A floor above the maximum sum-rate of `fp_rate_max` is infeasible.  The
-  dual search runs on Python floats: a round has a handful of active slots,
-  where numpy's per-call overhead outweighs the arithmetic.  It repeats the
-  array arithmetic operation for operation, its sums over the decoders run
-  left to right as numpy's do below 8 elements, and the dot products stay
-  in numpy (BLAS does not sum in order), so the bits are those of the
-  array form.
+  A floor above the maximum sum-rate of `fp_rate_max` is infeasible.  One
+  solve builds the reduced view of its schedule once, and each round's
+  search for the rate price starts at the previous round's optimal price
+  and takes safeguarded Newton steps on the bound's closed-form slope, so
+  a round spends about six Lagrangian maximizations.  The starting price
+  and the steps move only last bits inside the round's certified duality
+  gap.  The Lagrangian maximizer runs on Python floats: a round has a
+  handful of active slots, where numpy's per-call overhead outweighs the
+  arithmetic.  It repeats the array arithmetic operation for operation, its
+  sums over the decoders run left to right as numpy's do below 8 elements,
+  and the dot products stay in numpy (BLAS does not sum in order), so the
+  bits are those of the array form.
 * `closed_form_eh_only`, `closed_form_mixed` - the harvester-only and
   single-decoder cases.  Schedules with at most one decoder are solved
   exactly as a linear program by comparing its vertices; `sca_solve` does
@@ -392,8 +397,12 @@ class _BoundModel:
 
     def value(self, x: np.ndarray) -> float:
         xs = x.tolist()
-        # a decoder power that underflowed to 0 makes G = -inf
-        inverse = _ordered_sum(a / xs[q] if xs[q] else math.inf for a, q in zip(self.alpha, self.pos))
+        # summed left to right, as numpy sums below 8 elements; a decoder
+        # power that underflowed to 0 makes G = -inf
+        inverse = 0.0
+        for a, q in zip(self.alpha, self.pos):
+            v = xs[q]
+            inverse += a / v if v else math.inf
         return self.const - inverse - float(self.c_vec @ x)
 
 
@@ -406,8 +415,10 @@ def _ordered_sum(values) -> float:
     return total
 
 
-def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float) -> np.ndarray:
+def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
     """Maximize w @ x + nu G(x) over 1'x <= P0, x >= 0, for a rate price nu > 0.
+    Returns (x, p, full): p is the free slot that takes the leftover budget,
+    or None, and full tells whether the decoders spend the whole budget.
 
     With tau the budget price, decoder slot q takes sqrt(nu alpha_q / beta_q),
     beta_q = tau + nu c_q - w_q.  The free slots are linear: the leftover
@@ -439,7 +450,7 @@ def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float) -> np.
     if not pos:  # G is affine: a linear program over the budget
         if spend:
             x[p] = p0
-        return np.array(x)
+        return np.array(x), p if spend else None, False
     d_pos = [d[q] for q in pos]
     j0 = d_pos.index(max(d_pos))
     q0 = pos[j0]
@@ -449,7 +460,7 @@ def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float) -> np.
     beta_h = (w[p] - w0) - nu * (c[p] - c0) if spend else -d[q0]
     beta = max(beta_h, num[j0] / p0**2)
     if not beta > 0.0:  # nu alpha_q0 underflowed: no finite maximizer at this price
-        return np.full(len(w), math.nan)
+        return np.full(len(w), math.nan), None, False
     t = [math.sqrt(n / (beta + e)) for n, e in zip(num, delta)]
     s = _ordered_sum(t)
     if s > p0 or beta > beta_h:  # the decoders spend the whole budget
@@ -464,78 +475,148 @@ def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float) -> np.
         ratio = p0 / s
         for q, tj in zip(pos, t):
             x[q] = tj * ratio
-    else:
-        for q, tj in zip(pos, t):
-            x[q] = tj
-        if spend:
-            x[p] = p0 - s
-    return np.array(x)
+        return np.array(x), None, True
+    for q, tj in zip(pos, t):
+        x[q] = tj
+    if spend:
+        x[p] = p0 - s
+    return np.array(x), p if spend else None, False
+
+
+def _bound_slope(model: _BoundModel, x: list, w: list, nu: float, p, full: bool) -> float:
+    """Slope dG/d(log nu) of the bound along the Lagrangian maximizers x(nu),
+    at x = x(nu) from `_lagrangian_argmax` with its regime (p, full).
+
+    Each decoder keeps x_q^2 D_q = nu alpha_q with D_q = nu alpha_q / x_q^2
+    = tau + nu c_q - w_q, tau the budget price, so
+    nu dx_q/dnu = (x_q / 2)(1 - nu (tau' + c_q) / D_q).  tau' = -c_p when the
+    free slot p takes the leftover, 0 when the budget is slack, and it makes
+    sum_q dx_q/dnu = 0 when the decoders spend the whole budget.  Using the
+    stationarity once more, 1 - nu (tau' + c_q) / D_q = (b - w_q) / D_q with
+    b = w_p, 0, or the mean of w_q weighted by r_q = x_q / D_q in those three
+    cases, and G's gradient on every slot that moves is (tau - w_i) / nu, so
+
+        dG/d(log nu) = sum_q r_q (b - w_q)^2 / (2 nu).
+
+    Every term is >= 0, where the same slope written with
+    alpha_q / x_q^2 - c_q cancels large terms.  NaN where a decoder power or
+    price underflows.
+    """
+    pos = model.pos
+    try:
+        r = [x[q] ** 3 / (nu * a) for a, q in zip(model.alpha, pos)]
+        if p is not None:
+            b = w[p]
+        elif full:
+            b = _ordered_sum(rq * w[q] for rq, q in zip(r, pos)) / _ordered_sum(r)
+        else:
+            b = 0.0
+    except (ZeroDivisionError, OverflowError):
+        return math.nan
+    return _ordered_sum(rq * (b - w[q]) ** 2 for rq, q in zip(r, pos)) / (2.0 * nu)
+
+
+# step past the root of G(x(nu)) - floor, in log nu, that makes a Newton
+# iterate land on the feasible side
+NEWTON_PUSH = 1e-9
 
 
 def _solve_round(
-    model: _BoundModel, w: np.ndarray, floor: float, p0: float
-) -> tuple[np.ndarray, int]:
-    """Maximize w @ x subject to G(x) >= floor, 1'x <= P0 and x >= 0, exactly,
-    and count the Lagrangian evaluations spent: returns (x, evaluations).
+    model: _BoundModel, w: np.ndarray, floor: float, p0: float, price: float = 0.0
+) -> tuple[np.ndarray, int, float, float]:
+    """Maximize w @ x subject to G(x) >= floor, 1'x <= P0 and x >= 0, exactly.
+    Returns (x, evaluations, rate price, bound slack): the Lagrangian
+    evaluations spent, and the price nu and G - floor at the feasible end of
+    the final bracket (price 0 when the floor does not bind).
 
     G(x(nu)) at the Lagrangian maximizer x(nu) is non-decreasing in the rate
-    price nu, so a bracketing search on log nu (regula falsi, Illinois
-    variant) finds the optimal price.  The feasible end of the bracket bounds
-    the optimum by weak duality, w @ x_hi + nu_hi (G_hi - floor), and the
-    convex combination of the two ends that meets the floor (feasible because
-    G is concave) is the primal candidate; the search stops once they agree
-    to 1e-12 of P0 max|w|.  Where two linear slots tie at the optimal price
-    G jumps, and that combination is exactly the optimum that splits the
-    leftover between them.  All-zero weights select the least total power.
-    The products w @ x stay numpy dots, whose summation order the bits of
-    the stopping test depend on.
+    price nu, so a safeguarded search on t = log nu finds the optimal price.
+    It starts at `price` (the previous round's optimal price) when that is
+    > 0, else at P0 max|w|.  After every evaluation it proposes a Newton
+    step on phi(t) = G(x(e^t)) - floor with the slope of `_bound_slope`,
+    pushed NEWTON_PUSH past the root: where phi is concave in t, the usual
+    case, Newton nears the root from the infeasible side and the push lands
+    the last iterate feasible.  phi is not concave everywhere (it steepens
+    where a decoder's reduced cost nears 0), so the step is taken only when
+    it lands strictly inside the bracket (a missing end stands 16x away from
+    the known one) and is shorter than half the move before last, the
+    safeguard of `rtsafe` (Press et al., Numerical Recipes).  Otherwise the
+    price moves by 16x until the root is bracketed, and then by a regula
+    falsi (Illinois variant) or bisection step.
+
+    The feasible end of the bracket bounds the optimum by weak duality,
+    w @ x_hi + nu_hi (G_hi - floor), and the convex combination of the two
+    ends that meets the floor (feasible because G is concave) is the primal
+    candidate; the search stops once they agree to 1e-12 of P0 max|w|.  The
+    starting price and the Newton steps decide which prices are evaluated,
+    so they move only the last bits inside that gap.  Where two linear slots
+    tie at the optimal price G jumps, and that combination is exactly the
+    optimum that splits the leftover between them.  All-zero weights select
+    the least total power.  The products w @ x of the evaluated points stay
+    numpy dots, whose summation order the bits of the stopping test depend
+    on; the candidate's product is the same combination of theirs.
     """
     if not w.max() > 0:
         w = -np.ones(len(w))
     weights = w.tolist()
-    top = _lagrangian_argmax(model, [0.0] * len(weights), 1.0, p0)  # maximizes G
+    top, _, _ = _lagrangian_argmax(model, [0.0] * len(weights), 1.0, p0)  # maximizes G
     if not model.value(top) > floor + 1e-9 * max(1.0, abs(floor)):
         raise NoFeasibleInterior("rate floor is tight at the current linearization")
     q = weights.index(max(weights))
     if w[q] > 0 and all(j == q for j in model.pos):  # the LP vertex keeps G finite
         vertex = np.zeros(len(w))
         vertex[q] = p0
-        if model.value(vertex) >= floor:  # rate price 0: the vertex is optimal
-            return vertex, 1
+        slack = model.value(vertex) - floor
+        if slack >= 0:  # rate price 0: the vertex is optimal
+            return vertex, 1, 0.0, slack
 
     scale = float(np.abs(w).max()) * p0
-    t = math.log(scale)  # log nu
-    ends = {}  # G >= floor (True) or not -> [log nu, G - floor, x, interpolation weight]
-    side = best = None
+    t = math.log(price if price > 0 else scale)  # log nu
+    # G >= floor (True) or not -> [log nu, G - floor, x, interpolation weight,
+    # nu, w @ x, the dual bound w @ x + nu (G - floor)]
+    ends = {}
+    side = hi = None
+    older = last = math.inf  # lengths of the two latest moves in t
     for evals in range(2, 202):  # evaluation 1 was `top`
-        x = _lagrangian_argmax(model, weights, math.exp(t), p0)
+        nu = math.exp(t)
+        x, p, full = _lagrangian_argmax(model, weights, nu, p0)
         phi = model.value(x) - floor
         if (phi >= 0) == side and (not side) in ends:
             ends[not side][3] *= 0.5  # Illinois: the same end moved twice
         side = phi >= 0
-        ends[side] = [t, phi, x, phi]
+        wx = float(w @ x)
+        ends[side] = [t, phi, x, phi, nu, wx, wx + nu * phi]
         hi, lo = ends.get(True), ends.get(False)
         if hi is not None:
-            best = hi[2]
-            bound = float(w @ best) + math.exp(hi[0]) * hi[1]
+            # the primal candidate is x_hi + share (x_lo - x_hi), formed on return
+            share, w_best, bound = 0.0, hi[5], hi[6]
             if lo is not None:
-                best = best + hi[1] / (hi[1] - lo[1]) * (lo[2] - best)
-                dual_lo = float(w @ lo[2]) + math.exp(lo[0]) * lo[1]
-                if math.isfinite(dual_lo):  # an underflowed decoder power gives G = -inf
-                    bound = min(bound, dual_lo)
-            if bound - float(w @ best) <= 1e-12 * scale:
-                return best, evals
-        if hi is None or lo is None:
+                share = hi[1] / (hi[1] - lo[1])
+                w_best += share * (lo[5] - hi[5])
+                if math.isfinite(lo[6]):  # an underflowed decoder power gives G = -inf
+                    bound = min(bound, lo[6])
+            if bound - w_best <= 1e-12 * scale:
+                break
+        t_now = t
+        slope = _bound_slope(model, x.tolist(), weights, nu, p, full)
+        newton = t - phi / slope + NEWTON_PUSH if slope > 0 else math.nan
+        left = lo[0] if lo is not None else t - math.log(16.0)
+        right = hi[0] if hi is not None else t + math.log(16.0)
+        if left < newton < right and abs(newton - t) < 0.5 * older:
+            t = newton
+        elif hi is None or lo is None:
             t += math.log(16.0) if hi is None else -math.log(16.0)
-            continue
-        t = lo[0] + (hi[0] - lo[0]) * lo[3] / (lo[3] - hi[3])
-        if not lo[0] < t < hi[0]:
-            t = 0.5 * (lo[0] + hi[0])
+        else:
+            t = lo[0] + (hi[0] - lo[0]) * lo[3] / (lo[3] - hi[3])
             if not lo[0] < t < hi[0]:
-                break  # the bracket is at floating-point resolution
-    if best is None:
+                t = 0.5 * (lo[0] + hi[0])
+                if not lo[0] < t < hi[0]:
+                    break  # the bracket is at floating-point resolution
+        older, last = last, abs(t - t_now)
+    if hi is None:
         raise SolverNumericalError("no rate price meets the floor")
-    return best, evals
+    best = hi[2] if lo is None else hi[2] + share * (lo[2] - hi[2])
+    return best, evals, hi[4], hi[1]
 
 
 def inner_convex(
@@ -545,6 +626,8 @@ def inner_convex(
     mask=None,
     *,
     stats: dict | None = None,
+    red: _Reduced | None = None,
+    rate_price: float = 0.0,
 ) -> PowerAllocation:
     """Solve one convexified round expanded at allocation y: maximize
     harvested power under the tangent lower bound on the sum-rate, the
@@ -555,11 +638,19 @@ def inner_convex(
     monotonically prefers both at those lower limits, so they are eliminated
     exactly and the round is solved exactly over the allocation alone.
     Raises NoFeasibleInterior when the bound cannot clear the floor, and
-    when a decoder has no power at y (its slack is infinite).  A `stats`
-    dict, when given, receives "dual_evals": the number of Lagrangian
-    maximizations the round spent.
+    when a decoder has no power at y (its slack is infinite).
+
+    `red`, when given, is the reduced view of (mats, scenario, mask), which
+    `sca_solve` builds once per solve; the result does not depend on it.
+    `rate_price` > 0 warm-starts the dual search there (see `_solve_round`);
+    it moves only last bits inside the search's certified gap.  A `stats`
+    dict, when given, receives "dual_evals", the number of Lagrangian
+    maximizations the round spent, "rate_price", the round's optimal rate
+    price (0 when the floor does not bind), and "bound_slack", G - R at the
+    feasible end of the final bracket.
     """
-    red = _Reduced(mats, scenario, mask)
+    if red is None:
+        red = _Reduced(mats, scenario, mask)
     x = np.asarray(y, dtype=float)[red.idx]
     with np.errstate(divide="ignore"):
         s = 1.0 / red.signal(x)
@@ -569,9 +660,10 @@ def inner_convex(
             raise NoFeasibleInterior(
                 f"decoder {m} has a non-finite linearization slack (S={s_m}, I={i_m}): it has no power"
             )
-    x, evals = _solve_round(_BoundModel(red, s, i), red.w, red.rate_floor, red.p0)
+    model = _BoundModel(red, s, i)
+    x, evals, price, slack = _solve_round(model, red.w, red.rate_floor, red.p0, rate_price)
     if stats is not None:
-        stats["dual_evals"] = evals
+        stats.update(dual_evals=evals, rate_price=price, bound_slack=slack)
     return PowerAllocation(red.embed(x))
 
 
@@ -645,17 +737,27 @@ def sca_solve(
     trace = [_objective(mats, y)]
     status = SolveStatus.ITER_LIMIT
     iterations = 0
-    stats = {}
+    red = _Reduced(mats, scenario, mask)
+    stats = {"rate_price": 0.0}
     for iterations in range(1, opts.max_outer_iters + 1):
         try:
-            alloc = inner_convex(y, mats, scenario, mask, stats=stats)
+            alloc = inner_convex(
+                y, mats, scenario, mask, stats=stats, red=red, rate_price=stats["rate_price"]
+            )
         except NoFeasibleInterior:
             status = SolveStatus.OPTIMAL
             iterations -= 1
             break
         obj_new = _objective(mats, alloc.powers)
         trace.append(obj_new)
-        log.debug("round %d objective=%s dual_evals=%d", iterations, obj_new, stats["dual_evals"])
+        log.debug(
+            "round %d objective=%s dual_evals=%d rate_price=%s bound_slack=%s",
+            iterations,
+            obj_new,
+            stats["dual_evals"],
+            stats["rate_price"],
+            stats["bound_slack"],
+        )
         if obj_new > trace[-2] or iterations == 1:
             y = alloc.powers
         if trace[-1] - trace[-2] < opts.convergence_threshold * max(abs(trace[-2]), 1e-300):

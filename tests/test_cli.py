@@ -53,6 +53,17 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.scenario"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "old, new", [("P0_dBm: 30.0", "P0_dBm: yes"), ("R_bpshz: 5.0", "R_bpshz: true")]
+    )
+    def test_boolean_number_rejected(self, tmp_path, capsys, old, new):
+        # the bundled scenario with a YAML boolean for a number is refused,
+        # not read as 1 dBm or 1 bps/Hz
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(bundled_scenario_path().read_text().replace(old, new))
+        assert main(["check", str(bad)]) == EXIT_BAD_INPUT
+        assert old.split(":")[0] in capsys.readouterr().err
+
     def test_invalid_scenario(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"
         bad.write_text("array: {n_antennas: 64, f_GHz: 30.0}\nbogus_key: 1\n")

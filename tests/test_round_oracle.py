@@ -2,11 +2,15 @@
 `barrier_oracle.py`, on random geometries and on a hand-built round whose
 optimum splits the leftover budget between two harvesters; the round's
 Lagrangian maximizer against its numpy array form in `dual_oracle.py`, bit
-for bit, on random bound models; the accelerated `fp_rate_max` against the
-plain fixed point in `fp_oracle.py` on random geometries; and the Newton
-water-filling step of `fp_rate_max` against bisection."""
+for bit, on random bound models; the closed-form slope of the bound along
+the maximizers against finite differences, and the warm-started price search
+against the cold one, on random bound models; the accelerated `fp_rate_max`
+against the plain fixed point in `fp_oracle.py` on random geometries; and
+the Newton water-filling step of `fp_rate_max` against bisection."""
 
 import dataclasses
+import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +32,15 @@ from mfswipt import (
     fp_rate_max,
     inner_convex,
 )
-from mfswipt.solvers import FP_TOLERANCE, _BoundModel, _lagrangian_argmax, _water_fill
+from mfswipt.solvers import (
+    FP_TOLERANCE,
+    _bound_slope,
+    _BoundModel,
+    _lagrangian_argmax,
+    _Reduced,
+    _solve_round,
+    _water_fill,
+)
 
 P0_DBM = (20.0, 44.0)
 
@@ -62,11 +74,16 @@ def solve_both(mats, scn, y):
     p0_dbm=st.floats(*P0_DBM),
     floor_share=st.floats(0.05, 1.2),
     perturb=st.booleans(),
+    offset=st.floats(-5.0, 5.0),
 )
-def test_exact_round_agrees_with_barrier(array256, seed, n_eh, n_id, p0_dbm, floor_share, perturb):
+def test_exact_round_agrees_with_barrier(
+    array256, seed, n_eh, n_id, p0_dbm, floor_share, perturb, offset
+):
     # The floor is a share of the maximum sum-rate R*.  Every bound lies below
     # the true rate, so a floor above R* must raise in both solvers; below R*
     # the point decides, and the perturbed points make some bounds too weak.
+    # The round is also solved from a warm rate price within +-5 in log nu
+    # of the cold start, and with a prebuilt reduced view.
     rng = np.random.default_rng(seed)
     p0 = dbm_to_watts(p0_dbm)
     mats, scn = random_geometry_instance(rng, array256, n_eh, n_id, rate_floor=0.0, p0=p0)
@@ -89,6 +106,19 @@ def test_exact_round_agrees_with_barrier(array256, seed, n_eh, n_id, p0_dbm, flo
     assert model.value(x) >= scn.rate_floor - 1e-9
     got, want = objective(mats, exact), objective(mats, oracle)
     assert abs(got - want) <= 1e-6 * abs(want)
+
+    # the view changes no bit; the warm price moves the optimum only inside
+    # the certified gap 1e-12 P0 max|w| (w = -1 for all-zero weights)
+    scale = p0 * (float(mats.priorities.max()) or 1.0)
+    price = scale * math.exp(offset)
+    red = _Reduced(mats, scn)
+    stats = {}
+    warm = inner_convex(y, mats, scn, stats=stats, rate_price=price).powers
+    assert inner_convex(y, mats, scn, red=red, rate_price=price).powers.tobytes() == warm.tobytes()
+    assert inner_convex(y, mats, scn, red=red).powers.tobytes() == exact.tobytes()
+    assert model.value(warm[red.idx]) >= scn.rate_floor - 1e-9
+    assert abs(objective(mats, warm) - got) <= 1e-12 * scale
+    assert stats["rate_price"] >= 0 and stats["bound_slack"] >= 0
 
 
 @given(
@@ -158,7 +188,7 @@ def bound_models(draw, decoders):
 @given(case=bound_models(st.integers(1, 7)))
 def test_float_dual_search_matches_array_form_bits(case):
     model, w, nu, p0 = case
-    got = _lagrangian_argmax(model, w.tolist(), nu, p0)
+    got, _, _ = _lagrangian_argmax(model, w.tolist(), nu, p0)
     want = lagrangian_argmax(model, w, nu, p0)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
@@ -167,9 +197,89 @@ def test_float_dual_search_matches_array_form_bits(case):
 def test_float_dual_search_matches_array_form_many_decoders(case):
     # numpy sums 8 or more elements pairwise, the float search left to right
     model, w, nu, p0 = case
-    got = _lagrangian_argmax(model, w.tolist(), nu, p0)
+    got, _, _ = _lagrangian_argmax(model, w.tolist(), nu, p0)
     want = lagrangian_argmax(model, w, nu, p0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * p0)
+
+
+def bound_along_price(model, w, p0, nu):
+    """G(x(nu)) at the Lagrangian maximizer, with the maximizer's regime."""
+    x, p, full = _lagrangian_argmax(model, w.tolist(), nu, p0)
+    return model.value(x), x, (p, full)
+
+
+@given(case=bound_models(st.integers(1, 5)))
+def test_bound_slope_matches_finite_difference(case):
+    # central differences of G(x(nu)) in log nu at steps h and h/2,
+    # Richardson-extrapolated (near a change of the active set the third
+    # derivative is large), on draws whose active set (the leftover slot,
+    # whether the decoders fill the budget) stays put within +-h
+    model, w, nu, p0 = case
+    h = 1e-5
+    g0, x, regime = bound_along_price(model, w, p0, nu)
+    diffs = []
+    for step in (h, h / 2):
+        g_up, _, regime_up = bound_along_price(model, w, p0, nu * math.exp(step))
+        g_down, _, regime_down = bound_along_price(model, w, p0, nu * math.exp(-step))
+        assume(math.isfinite(g_up) and math.isfinite(g_down) and math.isfinite(g0))
+        assume(regime_up == regime == regime_down)
+        diffs.append((g_up - g_down) / (2 * step))
+    fd = (4 * diffs[1] - diffs[0]) / 3
+    slope = _bound_slope(model, x.tolist(), w.tolist(), nu, *regime)
+    # rounding of fd itself: G = const - sum alpha/x - c @ x, whose terms are
+    # at most |const| + |G| in size
+    rounding = 4 * 8 * np.finfo(float).eps * (abs(model.const) + abs(g0)) / h
+    assert abs(slope - fd) <= 1e-6 * abs(slope) + rounding
+
+
+def jump_floor(model, w, p0):
+    """A floor inside a jump of G(x(nu)): where the leftover passes from one
+    free slot to another, G jumps, and the optimum splits the leftover."""
+    c = model.c
+    for u, v in itertools.combinations(model.free, 2):
+        if c[u] == c[v]:
+            continue
+        nu = (w[u] - w[v]) / (c[u] - c[v])  # the two reduced costs cross
+        if not nu > 0:
+            continue
+        below = bound_along_price(model, w, p0, nu * (1 - 1e-9))[0]
+        above = bound_along_price(model, w, p0, nu * (1 + 1e-9))[0]
+        if math.isfinite(below) and above - below > 1e-6 * max(1.0, abs(above)):
+            return 0.5 * (below + above)
+    return None
+
+
+@given(
+    case=bound_models(st.integers(1, 5)),
+    at_jump=st.booleans(),
+    offset=st.floats(-5.0, 5.0),
+)
+def test_warm_started_round_agrees_with_cold_start(case, at_jump, offset):
+    # the round's price search, started anywhere within +-5 in log nu of the
+    # cold start, meets the floor and reaches the cold start's optimum to
+    # the certified gap 1e-12 P0 max|w|, plus what the rounding of G (terms
+    # up to |const| + |floor| in size) contributes to the dual bound
+    model, w, nu, p0 = case
+    w_round = w if w.max() > 0 else -np.ones(len(w))  # what the round maximizes
+    floor = jump_floor(model, w_round, p0) if at_jump else None
+    if floor is None:
+        floor = bound_along_price(model, w_round, p0, nu)[0]
+    assume(math.isfinite(floor))
+    try:
+        cold = _solve_round(model, w, floor, p0)
+    except NoFeasibleInterior:
+        with pytest.raises(NoFeasibleInterior):
+            _solve_round(model, w, floor, p0, 1.0)
+        return
+    scale = float(np.abs(w_round).max()) * p0
+    warm = _solve_round(model, w, floor, p0, scale * math.exp(offset))
+    for x, evals, price, slack in (cold, warm):
+        assert (x >= 0).all() and x.sum() <= p0 * (1 + 1e-12)
+        assert model.value(x) >= floor - 1e-9 * max(1.0, abs(floor))
+        assert math.isfinite(price) and price >= 0 and slack >= 0
+    gap = abs(float(w_round @ warm[0]) - float(w_round @ cold[0]))
+    rounding = 8 * np.finfo(float).eps * max(cold[2], warm[2]) * (abs(model.const) + abs(floor))
+    assert gap <= 1e-12 * scale + rounding
 
 
 def two_harvester_round(coupling=0.05, rate_floor=4.0):
@@ -211,6 +321,13 @@ def test_optimum_splits_leftover_between_two_harvesters():
     for keep in ([True, False, True], [False, True, True]):
         alone = inner_convex(y, mats, scn, mask=np.array(keep)).powers
         assert objective(mats, alone) < objective(mats, exact) * (1 - 1e-3)
+    # G jumps at that price; a warm start anywhere near it ends at the same
+    # split, within the certified gap
+    scale = float(mats.priorities.max()) * scn.p0
+    for offset in (-5.0, -2.0, 2.0, 5.0):
+        warm = inner_convex(y, mats, scn, rate_price=scale * math.exp(offset)).powers
+        assert warm[0] > 0.1 and warm[1] > 0.1
+        assert abs(objective(mats, warm) - objective(mats, exact)) <= 1e-12 * scale
 
 
 def test_zero_power_decoder_is_named(reference_setup):

@@ -164,12 +164,13 @@ HARVESTER = "eh_receivers:\n  - {theta: 0.0, r_over_Z: 0.1, alpha: 1.0}"
         ("n_antennas: 64", "n_antennas: 2.7"),
         ("r_m: 400.0", "r_m: .inf"),
         ("eh_receivers: []", HARVESTER.replace("r_over_Z: 0.1", "r_over_Z: .inf")),
+        ("P0_dBm: 30.0", "P0_dBm: [30.0]"),
     ],
     ids=[
         "power_scalar", "power_list", "constraints_scalar", "eh_model_scalar", "solver_list",
         "array_scalar", "P0_nan", "P0_inf", "R_nan", "R_inf", "sigma2_nan", "sigma2_inf",
         "alpha_nan", "f_inf", "spacing_inf", "aperture_nan", "n_antennas_fraction", "r_m_inf",
-        "r_over_Z_inf",
+        "r_over_Z_inf", "P0_list",
     ],
 )
 def test_malformed_value_is_a_scenario_error(tmp_path, capsys, old, new):
@@ -177,6 +178,39 @@ def test_malformed_value_is_a_scenario_error(tmp_path, capsys, old, new):
     # count is refused by `check`, before any solve could trip over it
     assert old in MINIMAL
     path = write_scenario(tmp_path, MINIMAL.replace(old, new))
+    assert main(["check", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("scenario error: ")
+
+
+@pytest.mark.parametrize("word", ["yes", "true", "no"])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("P0_dBm: 30.0", "P0_dBm: {w}"),
+        ("sigma2_dBm: -80.0", "sigma2_dBm: {w}"),
+        ("sigma2_dBm: -80.0", "sigma2_dBm: [{w}]"),
+        ("R_bpshz: 2.0", "R_bpshz: {w}"),
+        ("f_GHz: 30.0", "f_GHz: {w}"),
+        ("f_GHz: 30.0", "f_GHz: 30.0, spacing_m: {w}"),
+        ("f_GHz: 30.0", "f_GHz: 30.0, aperture_m: {w}"),
+        ("n_antennas: 64", "n_antennas: {w}"),
+        ("theta: 0.0, r_m", "theta: {w}, r_m"),
+        ("r_m: 400.0", "r_m: {w}"),
+        ("eh_receivers: []", HARVESTER.replace("r_over_Z: 0.1", "r_over_Z: {w}")),
+        ("eh_receivers: []", HARVESTER.replace("alpha: 1.0", "alpha: {w}")),
+        ("constraints: {R_bpshz: 2.0}", "constraints: {R_bpshz: 2.0}\neh_model: {zeta: {w}}"),
+    ],
+    ids=[
+        "P0", "sigma2", "sigma2_list", "R", "f_GHz", "spacing_m", "aperture_m", "n_antennas",
+        "theta", "r_m", "r_over_Z", "alpha", "zeta",
+    ],
+)
+def test_boolean_is_not_a_number(tmp_path, capsys, old, new, word):
+    # YAML reads yes/true/no as booleans, which float() would take as 1 or 0
+    assert old in MINIMAL
+    path = write_scenario(tmp_path, MINIMAL.replace(old, new.replace("{w}", word)))
+    with pytest.raises(ScenarioError):
+        parse_scenario(path)
     assert main(["check", str(path)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("scenario error: ")
 

@@ -270,9 +270,14 @@ class TestScaSolve:
         rounds = [r.message for r in caplog.records if r.message.startswith("round ")]
         assert report.iterations > 0 and len(rounds) == report.iterations
         for i, line in enumerate(rounds, start=1):
-            match = re.fullmatch(r"round (\d+) objective=(\S+) dual_evals=(\d+)", line)
+            match = re.fullmatch(
+                r"round (\d+) objective=(\S+) dual_evals=(\d+) rate_price=(\S+) bound_slack=(\S+)",
+                line,
+            )
             assert match and int(match[1]) == i and int(match[3]) >= 1
             assert float(match[2]) == report.trace[i]
+            assert math.isfinite(float(match[4])) and float(match[4]) > 0
+            assert float(match[5]) >= 0
 
     def test_mask_pins_slots(self, reference_setup):
         _, scn, mats = reference_setup
