@@ -4,8 +4,9 @@ An XL-array base station serves near-field energy harvesters and far-field
 information decoders at once.  This package models the geometry and beam
 couplings, evaluates rates and harvested power for any allocation, and
 solves the weighted harvested-power maximization under a sum-rate floor
-with a convexification loop, closed forms for the tractable cases and a
-brute-force schedule oracle.
+through one entry point, `sca_solve`: a convexification loop that solves
+the harvester-only and single-decoder cases exactly as linear programs.  A
+brute-force schedule oracle checks it.
 
 Each module's `__all__` is the only list of its public names; the package
 re-exports them all.

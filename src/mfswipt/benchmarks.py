@@ -27,7 +27,6 @@ from .solvers import (
     _infeasible_report,
     _report,
     _schedules,
-    closed_form_mixed,
     exhaustive_search,
     sca_solve,
 )
@@ -89,7 +88,7 @@ def run_scheme(
         mask = np.zeros(n, dtype=bool)
         mask[best_eh] = True
         mask[k + best_id] = True
-        return closed_form_mixed(mats, scenario, mask)
+        return sca_solve(mats, scenario, opts, mask)
 
     if scheme is SchemeId.OS_EPA:
         best: SolveReport | None = None
@@ -112,7 +111,8 @@ def run_scheme(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter experiment over `variable` in {P0_dBm, R, K, M}.
+    """One-parameter experiment over `variable` in {P0_dBm, R, K, M}; K and M
+    grid values must be whole numbers.
 
     For receiver-count sweeps the extra receivers beyond the base scenario
     are drawn once from a generator seeded with `seed`: uniform physical
@@ -135,6 +135,8 @@ class SweepSpec:
             raise ValueError("sweep grid must be non-empty")
         if list(self.grid) != sorted(self.grid):
             raise ValueError("sweep grid must be sorted")
+        if self.variable in {"K", "M"} and not all(float(v).is_integer() for v in self.grid):
+            raise ValueError(f"{self.variable} grid values must be whole numbers, got {self.grid}")
 
 
 @dataclass(frozen=True)
@@ -209,14 +211,15 @@ def _scenario_for_point(
         return replace(base, p0=dbm_to_watts(float(value)))
     if spec.variable == "R":
         return replace(base, rate_floor=float(value))
+    count = int(value)  # SweepSpec admits only whole receiver counts
     if spec.variable == "K":
-        extra = int(value) - base.n_eh
+        extra = count - base.n_eh
         if extra < 0:
-            raise ValueError(f"K grid value {value} below the base count {base.n_eh}")
+            raise ValueError(f"K grid value {count} below the base count {base.n_eh}")
         return replace(base, eh_receivers=base.eh_receivers + tuple(extra_eh[:extra]))
-    extra = int(value) - base.n_id
+    extra = count - base.n_id
     if extra < 0:
-        raise ValueError(f"M grid value {value} below the base count {base.n_id}")
+        raise ValueError(f"M grid value {count} below the base count {base.n_id}")
     if extra > 0 and not base.sigma2:
         raise ValueError("cannot add decoders to a scenario without a noise reference")
     sigma2 = base.sigma2 + tuple(base.sigma2[0] for _ in range(extra))

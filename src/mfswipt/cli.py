@@ -156,8 +156,6 @@ def _cmd_sweep(args) -> int:
     opts = _solver_options(scn)
     _check_writable(args.output)
     grid = tuple(float(v) for v in args.grid.split(","))
-    if args.variable in ("K", "M"):
-        grid = tuple(int(v) for v in grid)
     schemes = [SchemeId(s) for s in args.schemes.split(",")]
     spec = SweepSpec(args.variable, grid, seed=args.seed, record_timing=args.timing)
     rows = run_sweep(spec, cfg, scn, schemes, opts)

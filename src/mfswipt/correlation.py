@@ -40,7 +40,6 @@ __all__ = [
     "correlation_approx",
     "correlation_grid",
     "build_matrices",
-    "eh_priority",
 ]
 
 
@@ -245,7 +244,6 @@ class CorrelationMatrices:
     c_eh: np.ndarray
     g_eh: np.ndarray
     g_id: np.ndarray
-    alpha: np.ndarray
     zeta: float
 
     @property
@@ -305,17 +303,6 @@ def build_matrices(cfg: ArrayConfig, scenario: Scenario) -> CorrelationMatrices:
         c_eh=c_eh,
         g_eh=g_eh,
         g_id=g_id,
-        alpha=alpha,
         zeta=scenario.zeta,
     )
 
-
-def eh_priority(mats: CorrelationMatrices) -> tuple[int, np.ndarray]:
-    """Harvesting priority of every slot and the argmax (ties go to the lowest index).
-
-    Slot p's priority is the weighted power harvested across all harvesters
-    per watt allocated to p, including decoder slots whose beams charge the
-    harvesters through leakage.
-    """
-    rho = mats.priorities
-    return int(np.argmax(rho)), rho

@@ -117,7 +117,8 @@ def element_distance(cfg: ArrayConfig, loc: PolarLocation, n) -> np.ndarray | fl
 def element_distance_taylor(cfg: ArrayConfig, loc: PolarLocation, n) -> np.ndarray | float:
     """Second-order expansion r - delta_n d theta + delta_n^2 d^2 (1 - theta^2) / (2r)."""
     _check_element_index(cfg, n)
-    return _taylor_distance(_element_delta(cfg, n), cfg.d, loc.spatial_angle, loc.distance)
+    offset, theta, r = _element_delta(cfg, n) * cfg.d, loc.spatial_angle, loc.distance
+    return r - offset * theta + offset**2 * (1.0 - theta**2) / (2.0 * r)
 
 
 def _check_element_index(cfg: ArrayConfig, n) -> None:
@@ -137,38 +138,28 @@ def _exact_distance(delta, d, theta, r):
     return np.sqrt(np.float_power(r, 2) + (delta * d) ** 2 - 2.0 * r * theta * delta * d)
 
 
-def _taylor_distance(delta, d, theta, r):
-    return r - delta * d * theta + (delta * d) ** 2 * (1.0 - theta**2) / (2.0 * r)
-
-
-_DISTANCES = {"exact": _exact_distance, "taylor": _taylor_distance}
-
-
-def _spherical_steering(cfg: ArrayConfig, theta, r, mode: str = "exact") -> np.ndarray:
+def _spherical_steering(cfg: ArrayConfig, theta, r) -> np.ndarray:
     """Spherical-wavefront steering vectors exp(-2j*pi*(r_n - r)/lambda) / sqrt(N).
 
     `theta` and `r` broadcast against the element axis, which comes last:
     scalars give one vector, a (G, 1) column of distances gives G rows.  Each
     row equals the vector of its own (theta, r) bit for bit.
     """
-    if mode not in _DISTANCES:
-        raise ValueError(f"unknown steering mode {mode!r}")
     delta = _element_delta(cfg, np.arange(cfg.n_antennas))
-    rn = _DISTANCES[mode](delta, cfg.d, theta, r)
+    rn = _exact_distance(delta, cfg.d, theta, r)
     phase = -2.0 * np.pi * (rn - r) / cfg.wavelength
     return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
 
 
-def near_steering(cfg: ArrayConfig, loc: PolarLocation, mode: str = "exact") -> np.ndarray:
+def near_steering(cfg: ArrayConfig, loc: PolarLocation) -> np.ndarray:
     """Unit-norm spherical-wavefront steering vector, phase-referenced to the array center.
 
-    Entry n is exp(-2j*pi*(r_n - r)/lambda) / sqrt(N) with r_n the element
-    distance.  `mode` selects the exact distance or its second-order
-    expansion ("taylor").
+    Entry n is exp(-2j*pi*(r_n - r)/lambda) / sqrt(N) with r_n the exact
+    element distance.
     """
     if loc.is_far_field:
         return far_steering(cfg, loc.spatial_angle)
-    return _spherical_steering(cfg, loc.spatial_angle, loc.distance, mode)
+    return _spherical_steering(cfg, loc.spatial_angle, loc.distance)
 
 
 def far_steering(cfg: ArrayConfig, angle: float) -> np.ndarray:

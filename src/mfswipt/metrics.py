@@ -13,17 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationMatrices
-from .scenario import NonlinearEhParams
 
 __all__ = [
     "SCHEDULING_EPS",
     "PowerAllocation",
-    "MetricsReport",
+    "NonlinearEhParams",
     "id_rate",
     "eh_power",
     "weighted_sum_power",
     "sum_rate",
-    "evaluate",
     "nonlinear_eh",
 ]
 
@@ -45,22 +43,9 @@ class PowerAllocation:
             raise ValueError("powers must be nonnegative")
         object.__setattr__(self, "powers", p)
 
-    @property
-    def total(self) -> float:
-        return float(self.powers.sum())
-
     def scheduled_mask(self, budget: float) -> np.ndarray:
         """Support of the allocation; entries above SCHEDULING_EPS * budget count."""
         return self.powers > SCHEDULING_EPS * budget
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    per_id_rate: np.ndarray
-    sum_rate: float
-    per_eh_power: np.ndarray
-    weighted_sum_power: float
-    total_tx_power: float
 
 
 def _as_vector(y) -> np.ndarray:
@@ -99,17 +84,19 @@ def weighted_sum_power(mats: CorrelationMatrices, y) -> float:
     return float(mats.c_eh @ mats.lambda_masked @ yv)
 
 
-def evaluate(mats: CorrelationMatrices, sigma2, y) -> MetricsReport:
-    yv = _as_vector(y)
-    rates = np.array([id_rate(mats, sigma2, yv, m) for m in range(mats.n_id)])
-    powers = np.array([eh_power(mats, yv, k) for k in range(mats.n_eh)])
-    return MetricsReport(
-        per_id_rate=rates,
-        sum_rate=float(rates.sum()),
-        per_eh_power=powers,
-        weighted_sum_power=weighted_sum_power(mats, yv),
-        total_tx_power=float(yv.sum()),
-    )
+@dataclass(frozen=True)
+class NonlinearEhParams:
+    """Logistic rectifier curve parameters (saturation, turn-on point, steepness)."""
+
+    kappa: float
+    varpi: float
+    varrho: float
+
+    def __post_init__(self):
+        if self.kappa <= 0:
+            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if self.varrho <= 0:
+            raise ValueError(f"varrho must be > 0, got {self.varrho}")
 
 
 def nonlinear_eh(q_rf: float, params: NonlinearEhParams) -> float:

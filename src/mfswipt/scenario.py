@@ -20,7 +20,6 @@ import yaml
 from .geometry import ArrayConfig, PolarLocation, rayleigh_distance
 
 __all__ = [
-    "NonlinearEhParams",
     "Receiver",
     "Scenario",
     "ScenarioError",
@@ -45,21 +44,6 @@ def watts_to_dbm(watts: float) -> float:
     if watts <= 0:
         raise ValueError(f"dBm undefined for non-positive power {watts}")
     return 10.0 * math.log10(watts) + 30.0
-
-
-@dataclass(frozen=True)
-class NonlinearEhParams:
-    """Logistic rectifier curve parameters (saturation, turn-on point, steepness)."""
-
-    kappa: float
-    varpi: float
-    varrho: float
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.varrho <= 0:
-            raise ValueError(f"varrho must be > 0, got {self.varrho}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +155,7 @@ def _parse_array(block) -> ArrayConfig:
     f_ghz = _number(_require(block, "f_GHz", "array"), "array.f_GHz")
     spacing = None
     if "spacing_m" in block:
-        if block.get("spacing", "half_wavelength") != "half_wavelength":
+        if "spacing" in block:
             raise ScenarioError("give either spacing: half_wavelength or spacing_m, not both")
         spacing = _number(block["spacing_m"], "array.spacing_m")
     elif block.get("spacing", "half_wavelength") != "half_wavelength":

@@ -26,11 +26,10 @@ Solvers provided:
   arithmetic.  It repeats the array arithmetic operation for operation, its
   sums over the decoders run left to right as numpy's do below 8 elements,
   and the dot products stay in numpy (BLAS does not sum in order), so the
-  bits are those of the array form.
-* `closed_form_eh_only`, `closed_form_mixed` - the harvester-only and
-  single-decoder cases.  Schedules with at most one decoder are solved
-  exactly as a linear program by comparing its vertices; `sca_solve` does
-  the same for them and runs no rounds.
+  bits are those of the array form.  A schedule under no floor or with at
+  most one decoder (the paper's harvester-only and single-decoder cases)
+  is a linear program, which `sca_solve` solves exactly by comparing its
+  vertices, with no rounds.
 * `exhaustive_search` - brute force over all 2^(K+M) schedules, the
   benchmark oracle.
 
@@ -65,8 +64,6 @@ __all__ = [
     "fp_rate_max",
     "inner_convex",
     "sca_solve",
-    "closed_form_eh_only",
-    "closed_form_mixed",
     "exhaustive_search",
 ]
 
@@ -188,11 +185,19 @@ def _full_mask(mats: CorrelationMatrices, mask) -> np.ndarray:
     return mask
 
 
+# most slots whose 2^n schedules are enumerated
+MAX_SCHEDULE_SLOTS = 20
+
+
 def _schedules(n: int):
     """Every schedule of n slots as a boolean mask, in lexicographic order
-    (slot 0 is the most significant position), starting with the empty one."""
-    for bits in itertools.product((False, True), repeat=n):
-        yield np.array(bits)
+    (slot 0 is the most significant position), starting with the empty one.
+    Refuses more than MAX_SCHEDULE_SLOTS slots."""
+    if n > MAX_SCHEDULE_SLOTS:
+        raise ValueError(
+            f"schedule enumeration guard: {n} slots exceeds the 2^{MAX_SCHEDULE_SLOTS} budget"
+        )
+    return (np.array(bits) for bits in itertools.product((False, True), repeat=n))
 
 
 def _report(
@@ -527,7 +532,7 @@ def _solve_round(
     """Maximize w @ x subject to G(x) >= floor, 1'x <= P0 and x >= 0, exactly.
     Returns (x, evaluations, rate price, bound slack): the Lagrangian
     evaluations spent, and the price nu and G - floor at the feasible end of
-    the final bracket (price 0 when the floor does not bind).
+    the final bracket (the price tends to 0 when the floor does not bind).
 
     G(x(nu)) at the Lagrangian maximizer x(nu) is non-decreasing in the rate
     price nu, so a safeguarded search on t = log nu finds the optimal price.
@@ -562,13 +567,6 @@ def _solve_round(
     top, _, _ = _lagrangian_argmax(model, [0.0] * len(weights), 1.0, p0)  # maximizes G
     if not model.value(top) > floor + 1e-9 * max(1.0, abs(floor)):
         raise NoFeasibleInterior("rate floor is tight at the current linearization")
-    q = weights.index(max(weights))
-    if w[q] > 0 and all(j == q for j in model.pos):  # the LP vertex keeps G finite
-        vertex = np.zeros(len(w))
-        vertex[q] = p0
-        slack = model.value(vertex) - floor
-        if slack >= 0:  # rate price 0: the vertex is optimal
-            return vertex, 1, 0.0, slack
 
     scale = float(np.abs(w).max()) * p0
     t = math.log(price if price > 0 else scale)  # log nu
@@ -646,8 +644,8 @@ def inner_convex(
     it moves only last bits inside the search's certified gap.  A `stats`
     dict, when given, receives "dual_evals", the number of Lagrangian
     maximizations the round spent, "rate_price", the round's optimal rate
-    price (0 when the floor does not bind), and "bound_slack", G - R at the
-    feasible end of the final bracket.
+    price (near 0 when the floor does not bind), and "bound_slack", G - R at
+    the feasible end of the final bracket.
     """
     if red is None:
         red = _Reduced(mats, scenario, mask)
@@ -768,37 +766,6 @@ def sca_solve(
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-
-def closed_form_eh_only(mats: CorrelationMatrices, scenario: Scenario) -> SolveReport:
-    """Harvester-only allocation: the whole budget to the highest-priority harvester.
-
-    Valid when the rate floor is zero: no decoder is scheduled, so no
-    positive floor can be met.
-    """
-    k = mats.n_eh
-    if k == 0:
-        raise ValueError("no harvesters in the scenario")
-    if scenario.rate_floor > 0:
-        raise ValueError("closed_form_eh_only needs a zero rate floor")
-    return _lp_report(mats, scenario, np.arange(mats.n_slots) < k)
-
-
-def closed_form_mixed(
-    mats: CorrelationMatrices, scenario: Scenario, mask=None
-) -> SolveReport:
-    """Exact allocation with a single active decoder: the best vertex of the
-    schedule's linear program (see `_lp_report`).  Infeasible, with r*, when
-    even the full budget on the decoder cannot reach the floor.
-    """
-    mask = _full_mask(mats, mask)
-    if np.count_nonzero(mask[mats.n_eh :]) != 1:
-        raise ValueError("closed_form_mixed needs exactly one active decoder")
-    return _lp_report(mats, scenario, mask)
-
-
-# ---------------------------------------------------------------------------
 # exhaustive oracle
 
 
@@ -811,11 +778,10 @@ def exhaustive_search(
 
     Schedules without a decoder are skipped whenever the rate floor is
     positive; ties resolve to the lexicographically smallest schedule
-    (slot 0 is the most significant position).
+    (slot 0 is the most significant position).  More than
+    MAX_SCHEDULE_SLOTS slots are refused.
     """
     n = mats.n_slots
-    if n > 20:
-        raise ValueError(f"exhaustive search guard: {n} slots exceeds the 2^20 budget")
     best: SolveReport | None = None
     total_iters = 0
     for mask in _schedules(n):

@@ -63,7 +63,6 @@ def synthetic_single_decoder(
         c_eh=c_eh,
         g_eh=g_eh,
         g_id=g_id,
-        alpha=alpha,
         zeta=zeta,
     )
     # receiver positions are irrelevant once the matrices exist; placeholders

@@ -30,8 +30,6 @@ from mfswipt import (
     SolverOptions,
     SweepSpec,
     build_matrices,
-    closed_form_eh_only,
-    closed_form_mixed,
     correlation_approx,
     correlation_exact,
     dbm_to_watts,
@@ -94,7 +92,7 @@ def test_c03_closed_form_correlation_fidelity(array256):
 
 
 def test_c04_harvester_only_closed_form_vs_vertex_oracle(array256):
-    with criterion(4, "harvester-only closed form = simplex-vertex oracle, 100 instances"):
+    with criterion(4, "harvester-only schedule = simplex-vertex oracle, 100 instances"):
         rng = np.random.default_rng(2024)
         checked = 0
         for _ in range(100):
@@ -109,7 +107,7 @@ def test_c04_harvester_only_closed_form_vs_vertex_oracle(array256):
                 ),
             )
             mats = build_matrices(array256, scn)
-            report = closed_form_eh_only(mats, scn)
+            report = sca_solve(mats, scn, mask=np.arange(mats.n_slots) < k)
             vertex_best = max(
                 weighted_sum_power(mats, scn.p0 * np.eye(k)[j]) for j in range(k)
             )
@@ -120,12 +118,12 @@ def test_c04_harvester_only_closed_form_vs_vertex_oracle(array256):
 
 
 def test_c05_single_decoder_closed_form_vs_lp_oracle():
-    with criterion(5, "single-decoder closed form = LP vertex oracle, 100 instances"):
+    with criterion(5, "single-decoder schedule = LP vertex oracle, 100 instances"):
         rng = np.random.default_rng(2025)
         solved = 0
         for _ in range(100):
             mats, scn = synthetic_single_decoder(rng)
-            report = closed_form_mixed(mats, scn)
+            report = sca_solve(mats, scn)
             oracle_value, _ = lp_vertex_oracle(mats, scn)
             if report.status is not SolveStatus.OPTIMAL:
                 assert oracle_value is None
@@ -184,7 +182,7 @@ def test_c06_sca_convergence_on_reference(reference_setup, floor):
                 assert achieved >= floor - FEASIBILITY_TOLERANCE, (
                     f"{where}: allocation reaches only {achieved:.6f} bps/Hz"
                 )
-                assert report.allocation.total <= p0 * (1 + 1e-9), f"{where}: over budget"
+                assert report.allocation.powers.sum() <= p0 * (1 + 1e-9), f"{where}: over budget"
             else:
                 pytest.fail(f"{where}: neither certificate decides whether the floor is attainable")
 

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from mfswipt import (
+    PolarLocation,
+    Receiver,
     SchemeId,
     SolveStatus,
     SolverOptions,
     SweepSpec,
+    build_matrices,
     run_scheme,
     run_sweep,
     sum_rate,
@@ -91,6 +94,34 @@ class TestRunScheme:
         mats = mfswipt.build_matrices(array256, scn)
         with pytest.raises(ValueError):
             run_scheme(SchemeId.GS_OPA, mats, scn)
+
+    def test_far_field_needs_a_decoder(self, reference_setup):
+        cfg, scn, _ = reference_setup
+        scn = dataclasses.replace(scn, id_receivers=(), sigma2=(), rate_floor=0.0)
+        mats = build_matrices(cfg, scn)
+        with pytest.raises(ValueError, match="far-field scheme needs at least one decoder"):
+            run_scheme(SchemeId.FAR_FIELD_SWIPT, mats, scn)
+
+    def test_equal_split_schedule_search_guard_on_slot_count(self, reference_setup, monkeypatch):
+        # os_epa enumerates schedules as exhaustive_search does, and refuses
+        # 22 slots before it splits power over any of them
+        def no_split(*args):
+            pytest.fail("os_epa enumerated schedules past the slot guard")
+
+        monkeypatch.setattr("mfswipt.benchmarks._equal_split_report", no_split)
+        _, scn, mats = reference_setup
+        big = dataclasses.replace(
+            scn, eh_receivers=tuple(Receiver(PolarLocation(0.0, 10.0)) for _ in range(20))
+        )
+        mats = dataclasses.replace(
+            mats,
+            lambda_full=np.eye(22),
+            lambda_masked=np.eye(22),
+            c_eh=np.ones(22),
+            g_eh=np.ones(20),
+        )
+        with pytest.raises(ValueError, match="22 slots exceeds"):
+            run_scheme(SchemeId.OS_EPA, mats, big)
 
 
 FAST_SCHEMES = [SchemeId.PROPOSED, SchemeId.GS_OPA, SchemeId.AS_EPA]
@@ -186,3 +217,12 @@ class TestRunSweep:
             SweepSpec(variable="R", grid=())
         with pytest.raises(ValueError):
             SweepSpec(variable="R", grid=(3.0, 1.0))
+
+    @pytest.mark.parametrize("variable", ["K", "M"])
+    def test_receiver_counts_must_be_whole(self, variable):
+        with pytest.raises(ValueError, match="whole numbers"):
+            SweepSpec(variable=variable, grid=(3.0, 3.5))
+        with pytest.raises(ValueError, match="whole numbers"):
+            SweepSpec(variable=variable, grid=(math.nan,))
+        assert SweepSpec(variable=variable, grid=(3, 4.0)).grid == (3, 4.0)
+        assert SweepSpec(variable="R", grid=(3.5,)).grid == (3.5,)

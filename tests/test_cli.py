@@ -3,6 +3,7 @@ import logging
 import re
 
 import pytest
+import yaml
 
 from mfswipt import bundled_scenario_path
 from mfswipt.benchmarks import ResultRow
@@ -99,6 +100,38 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_BAD_INPUT
         assert line.split(":")[0] in capsys.readouterr().err
         assert main(["solve", str(bad)]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda doc: {k: v for k, v in doc.items() if k != "power"},
+                "missing key 'power' in scenario",
+            ),
+            (lambda doc: {**doc, "array": {**doc["array"], "spacing_m": 0.005}}, "not both"),
+            (lambda doc: [doc], "top level must be a mapping"),
+            (
+                lambda doc: {**doc, "eh_receivers": doc["eh_receivers"][0]},
+                "eh_receivers and id_receivers must be lists",
+            ),
+            (lambda doc: {**doc, "eh_model": {"zeta": 0.0}}, "must lie in (0, 1]"),
+            (lambda doc: {**doc, "eh_model": {"zeta": 1.5}}, "must lie in (0, 1]"),
+        ],
+        ids=[
+            "missing_key",
+            "two_spacings",
+            "top_level_list",
+            "receivers_mapping",
+            "zeta_zero",
+            "zeta_above_one",
+        ],
+    )
+    def test_malformed_scenario_refused(self, tmp_path, capsys, edit, message):
+        # the bundled scenario, edited as a parsed document and written back
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(yaml.safe_dump(edit(yaml.safe_load(bundled_scenario_path().read_text()))))
+        assert main(["check", str(bad)]) == EXIT_BAD_INPUT
+        assert message in capsys.readouterr().err
 
     def test_nonlinear_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"
@@ -316,6 +349,18 @@ class TestSweep:
         assert "4 of 4 rows" in err[0] and "K grid value 1 below the base count 3" in err[0]
         _, _, rows = read_table(out)
         assert [r["status"].split(":")[0] for r in rows] == ["Error"] * 4
+
+    @pytest.mark.parametrize("variable, grid", [("K", "3.5,4.9"), ("M", "2,2.5")])
+    def test_fractional_receiver_count_refused(
+        self, tmp_path, capsys, monkeypatch, variable, grid
+    ):
+        # a K or M value that is not a whole number is refused, not truncated
+        monkeypatch.setattr("mfswipt.benchmarks.run_scheme", no_work)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", BUNDLED, "--variable", variable, "--grid", grid, "--output", str(out)]
+        assert main(argv) == EXIT_BAD_INPUT
+        assert "whole numbers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_in_missing_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("mfswipt.benchmarks.run_scheme", no_work)

@@ -18,7 +18,6 @@ from mfswipt import (
     correlation_approx,
     correlation_exact,
     correlation_grid,
-    eh_priority,
     fresnel,
     fresnel_min_distance,
     rayleigh_distance,
@@ -357,22 +356,21 @@ class TestEhPriority:
             c_eh=np.asarray(c_eh, dtype=float),
             g_eh=np.asarray(c_eh[:k], dtype=float) * 2.0,
             g_id=np.ones(n - k),
-            alpha=np.ones(k),
             zeta=0.5,
         )
 
     def test_single_harvester(self, array256):
         scn = _scenario([(0.0, 10.0)], [], rate_floor=0.0)
         mats = build_matrices(array256, scn)
-        best, rho = eh_priority(mats)
-        assert best == 0
+        rho = mats.priorities
+        assert np.argmax(rho) == 0
         assert rho[0] == pytest.approx(mats.c_eh[0])
 
     def test_uncoupled_harvesters_ranked_by_weighted_gain(self):
         masked = np.eye(2)
         mats = self._mats_from(masked, np.array([1.0, 3.0]))
-        best, rho = eh_priority(mats)
-        assert best == 1
+        rho = mats.priorities
+        assert np.argmax(rho) == 1
         assert np.allclose(rho, [1.0, 3.0])
 
     def test_decoder_takes_over_past_coupling_threshold(self):
@@ -386,8 +384,8 @@ class TestEhPriority:
             )
             return self._mats_from(masked, np.array([1.0, 1.0, 0.0]))
 
-        below, _ = eh_priority(build(0.55, 0.55))  # sum 1.1 < 1.2
-        above, _ = eh_priority(build(0.65, 0.65))  # sum 1.3 > 1.2
+        below = np.argmax(build(0.55, 0.55).priorities)  # sum 1.1 < 1.2
+        above = np.argmax(build(0.65, 0.65).priorities)  # sum 1.3 > 1.2
         assert below in (0, 1)
         assert above == 2
 
@@ -398,13 +396,12 @@ class TestEhPriority:
         np.fill_diagonal(masked, 1.0)
         masked[3, 3] = 0.0
         c = np.array([2.0, 1.0, 4.0, 0.0])
-        best1, _ = eh_priority(self._mats_from(masked, c))
-        best2, _ = eh_priority(self._mats_from(masked, 7.5 * c))
+        best1 = np.argmax(self._mats_from(masked, c).priorities)
+        best2 = np.argmax(self._mats_from(masked, 7.5 * c).priorities)
         assert best1 == best2
 
     def test_tie_breaks_to_lowest_index(self):
         masked = np.eye(3)
         masked[2, 2] = 0.0
         mats = self._mats_from(masked, np.array([2.0, 2.0, 0.0]))
-        best, _ = eh_priority(mats)
-        assert best == 0
+        assert np.argmax(mats.priorities) == 0

@@ -192,13 +192,6 @@ class TestSteering:
         expected = np.exp(-2j * np.pi * (r0 - loc.distance) / array256.wavelength) / 16
         assert vec[0] == pytest.approx(expected, abs=1e-12)
 
-    def test_taylor_mode_uses_expanded_distances(self, array256):
-        loc = PolarLocation(0.2, 8.0)
-        vec = near_steering(array256, loc, mode="taylor")
-        rn = element_distance_taylor(array256, loc, np.arange(256))
-        expected = np.exp(-2j * np.pi * (rn - loc.distance) / array256.wavelength) / 16
-        assert np.allclose(vec, expected, atol=1e-14)
-
     def test_far_pair_matches_dirichlet_kernel(self, array256):
         rng = np.random.default_rng(7)
         n = array256.n_antennas

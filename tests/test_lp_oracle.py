@@ -31,7 +31,6 @@ from mfswipt import (
     Scenario,
     SolveStatus,
     build_matrices,
-    closed_form_mixed,
     dbm_to_watts,
     exhaustive_search,
     rayleigh_distance,
@@ -112,16 +111,15 @@ def test_single_decoder_schedules_match_lp(case):
     mats, scn = instance(eh, idr, p0_dbm, rate_floor)
     full = np.ones(mats.n_slots, dtype=bool)
     best = lp_oracle(mats, scn, full)
-    for report in (sca_solve(mats, scn), closed_form_mixed(mats, scn)):
-        check_against_oracle(report, best, mats, scn)
+    check_against_oracle(sca_solve(mats, scn), best, mats, scn)
     if len(eh) <= 3:
         check_against_oracle(exhaustive_search(mats, scn), best, mats, scn)
 
     mask = np.array(keep + [True])
     best = lp_oracle(mats, scn, mask)
-    for report in (sca_solve(mats, scn, mask=mask), closed_form_mixed(mats, scn, mask)):
-        check_against_oracle(report, best, mats, scn)
-        assert not report.allocation.powers[~mask].any()
+    report = sca_solve(mats, scn, mask=mask)
+    check_against_oracle(report, best, mats, scn)
+    assert not report.allocation.powers[~mask].any()
 
 
 def test_pair_beyond_the_top_priority_harvester():
@@ -132,6 +130,6 @@ def test_pair_beyond_the_top_priority_harvester():
     mats, scn = instance([(-0.4423, 0.2166), (0.7749, 0.2005)], (0.7688, 1.2585), 38.44, 4.79)
     assert np.argmax(mats.priorities) == 1
     best = lp_oracle(mats, scn, np.ones(mats.n_slots, dtype=bool))
-    for report in (sca_solve(mats, scn), closed_form_mixed(mats, scn), exhaustive_search(mats, scn)):
+    for report in (sca_solve(mats, scn), exhaustive_search(mats, scn)):
         check_against_oracle(report, best, mats, scn)
         assert report.allocation.powers[0] > 0 and report.allocation.powers[1] == 0

@@ -11,7 +11,6 @@ from mfswipt import (
     Scenario,
     build_matrices,
     eh_power,
-    evaluate,
     far_steering,
     id_rate,
     near_steering,
@@ -186,25 +185,25 @@ class TestWeightedSumPower:
         rng = np.random.default_rng(3)
         for _ in range(20):
             y = rng.uniform(0, 0.5, 4)
-            per_k = sum(mats.alpha[k] * eh_power(mats, y, k) for k in range(2))
+            per_k = sum(r.weight * eh_power(mats, y, k) for k, r in enumerate(scn.eh_receivers))
             assert weighted_sum_power(mats, y) == pytest.approx(per_k, abs=1e-10 * max(per_k, 1))
 
     def test_weights_scale_contributions(self, small_instance):
         cfg, scn, mats = small_instance
         # weight 2 on harvester 1 doubles its contribution relative to alpha=1
         y = np.array([0.3, 0.3, 0.2, 0.2])
-        base = sum(mats.alpha[k] * eh_power(mats, y, k) for k in range(2))
+        base = sum(r.weight * eh_power(mats, y, k) for k, r in enumerate(scn.eh_receivers))
         assert weighted_sum_power(mats, y) == pytest.approx(base, rel=1e-12)
-        assert mats.alpha[1] == 2.0
+        assert scn.eh_receivers[1].weight == 2.0
 
     def test_report_consistency(self, small_instance):
+        # the totals over a PowerAllocation equal the sums of their per-receiver terms
         _, scn, mats = small_instance
         y = PowerAllocation(np.array([0.4, 0.1, 0.3, 0.2]))
-        rep = evaluate(mats, scn.sigma2, y)
-        assert rep.sum_rate == pytest.approx(float(rep.per_id_rate.sum()), rel=1e-12)
-        weighted = float((mats.alpha * rep.per_eh_power).sum())
-        assert rep.weighted_sum_power == pytest.approx(weighted, rel=1e-12)
-        assert rep.total_tx_power == pytest.approx(1.0)
+        rates = [id_rate(mats, scn.sigma2, y, m) for m in range(scn.n_id)]
+        assert sum_rate(mats, scn.sigma2, y) == pytest.approx(sum(rates), rel=1e-12)
+        weighted = sum(r.weight * eh_power(mats, y, k) for k, r in enumerate(scn.eh_receivers))
+        assert weighted_sum_power(mats, y) == pytest.approx(weighted, rel=1e-12)
 
 
 class TestPowerAllocation:

@@ -4,9 +4,11 @@ optimum splits the leftover budget between two harvesters; the round's
 Lagrangian maximizer against its numpy array form in `dual_oracle.py`, bit
 for bit, on random bound models; the closed-form slope of the bound along
 the maximizers against finite differences, and the warm-started price search
-against the cold one, on random bound models; the accelerated `fp_rate_max`
-against the plain fixed point in `fp_oracle.py` on random geometries; and
-the Newton water-filling step of `fp_rate_max` against bisection."""
+against the cold one, on random bound models; a round whose optimum is
+the top-priority decoder alone at the budget, found by the general price
+search; the accelerated `fp_rate_max` against the plain fixed point in
+`fp_oracle.py` on random geometries; and the Newton water-filling step of
+`fp_rate_max` against bisection."""
 
 import dataclasses
 import itertools
@@ -296,7 +298,6 @@ def two_harvester_round(coupling=0.05, rate_floor=4.0):
         c_eh=np.array([2e-6, 1e-6, 0.0]),
         g_eh=np.array([4e-6, 2e-6]),
         g_id=np.array([1e-9]),
-        alpha=np.ones(2),
         zeta=0.5,
     )
     scn = Scenario(
@@ -328,6 +329,46 @@ def test_optimum_splits_leftover_between_two_harvesters():
         warm = inner_convex(y, mats, scn, rate_price=scale * math.exp(offset)).powers
         assert warm[0] > 0.1 and warm[1] > 0.1
         assert abs(objective(mats, warm) - objective(mats, exact)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "y", [[0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5]], ids=["vertex", "even", "pair"]
+)
+def test_top_priority_decoder_vertex_found_by_the_price_search(y):
+    # two orthogonal harvesters and one decoder coupled 0.9 to both, so the
+    # decoder slot has the top priority; alone at the budget it clears R = 1,
+    # and that vertex is the round's optimum, at a rate price near 0
+    lam = np.eye(3)
+    lam[0, 2] = lam[2, 0] = lam[1, 2] = lam[2, 1] = 0.9
+    masked = lam.copy()
+    masked[2, 2] = 0.0
+    mats = CorrelationMatrices(
+        lambda_full=lam,
+        lambda_masked=masked,
+        c_eh=np.array([2e-6, 1e-6, 0.0]),
+        g_eh=np.array([4e-6, 2e-6]),
+        g_id=np.array([1e-9]),
+        zeta=0.5,
+    )
+    scn = Scenario(
+        eh_receivers=(Receiver(PolarLocation(0.0, 10.0)),) * 2,
+        id_receivers=(Receiver(PolarLocation(0.0, 400.0)),),
+        sigma2=(1e-11,),
+        p0=1.0,
+        rate_floor=1.0,
+    )
+    assert np.argmax(mats.priorities) == 2
+    y = np.array(y)
+    stats = {}
+    x = inner_convex(y, mats, scn, stats=stats).powers
+    assert x.tolist() == [0.0, 0.0, scn.p0]
+    red = _Reduced(mats, scn)
+    model = _BoundModel(red, 1.0 / red.signal(y), red.interference(y))
+    assert stats["bound_slack"] == model.value(x) - scn.rate_floor > 0
+    # the price's share of the dual bound stays inside the certified gap
+    scale = float(mats.priorities.max()) * scn.p0
+    assert 0 < stats["rate_price"] * stats["bound_slack"] <= 1e-12 * scale
+    assert stats["dual_evals"] >= 2
 
 
 def test_zero_power_decoder_is_named(reference_setup):

@@ -21,9 +21,6 @@ from mfswipt import (
     SolveStatus,
     SolverOptions,
     build_matrices,
-    closed_form_eh_only,
-    closed_form_mixed,
-    eh_priority,
     exhaustive_search,
     fp_rate_max,
     inner_convex,
@@ -35,6 +32,11 @@ from mfswipt import (
 from mfswipt.solvers import FEASIBILITY_TOLERANCE, _Reduced, _schedules
 
 TIGHT = SolverOptions(convergence_threshold=1e-6)
+
+
+def harvesters_only(mats):
+    """The schedule of every harvester and no decoder."""
+    return np.arange(mats.n_slots) < mats.n_eh
 
 
 def two_orthogonal_decoders(array256, rate_floor=0.0, p0=1.0):
@@ -203,10 +205,10 @@ class TestScaSolve:
         rng = np.random.default_rng(23)
         mats, scn = random_geometry_instance(rng, array256, n_eh=3, n_id=1, rate_floor=0.0)
         report = sca_solve(mats, scn)
-        cf = closed_form_eh_only(mats, scn)
-        best, rho = eh_priority(mats)
+        harvesters = sca_solve(mats, scn, mask=harvesters_only(mats))
+        best = np.argmax(mats.priorities)
         if best < mats.n_eh:  # harvester slot dominates: exact agreement expected
-            assert report.objective == pytest.approx(cf.objective, rel=1e-6)
+            assert report.objective == pytest.approx(harvesters.objective, rel=1e-6)
             assert report.allocation.powers[best] == pytest.approx(scn.p0)
 
     def test_reference_scenario_converges_fast(self, reference_setup):
@@ -225,12 +227,12 @@ class TestScaSolve:
         for _ in range(8):
             mats, scn = synthetic_single_decoder(rng, n_eh=2)
             report = sca_solve(mats, scn, TIGHT)
-            cf = closed_form_mixed(mats, scn)
-            if cf.status is not SolveStatus.OPTIMAL:
+            best_val, _ = lp_vertex_oracle(mats, scn)
+            if best_val is None:
                 assert report.status is SolveStatus.INFEASIBLE
                 continue
             assert report.status is SolveStatus.OPTIMAL
-            assert report.objective == pytest.approx(cf.objective, rel=1e-4)
+            assert report.objective == pytest.approx(best_val, rel=1e-4)
 
     def test_infeasible_floor_reported(self, reference_setup):
         _, scn, mats = reference_setup
@@ -297,16 +299,15 @@ class TestClosedFormEhOnly:
             rate_floor=0.0,
         )
         mats = build_matrices(array256, scn)
-        report = closed_form_eh_only(mats, scn)
+        report = sca_solve(mats, scn, mask=harvesters_only(mats))
         assert report.allocation.powers[0] == 2.0
         assert report.objective == pytest.approx(mats.c_eh[0] * 2.0, rel=1e-12)
 
     def test_reference_harvesters_beat_simplex_grid(self, reference_setup):
         _, scn, mats = reference_setup
         relaxed = dataclasses.replace(scn, rate_floor=0.0)
-        report = closed_form_eh_only(mats, relaxed)
-        best, rho = eh_priority(mats)
-        assert np.argmax(report.allocation.powers) == np.argmax(rho[:3])
+        report = sca_solve(mats, relaxed, mask=harvesters_only(mats))
+        assert np.argmax(report.allocation.powers) == np.argmax(mats.priorities[:3])
         # vertex dominance
         for k in range(3):
             y = np.zeros(5)
@@ -334,21 +335,22 @@ class TestClosedFormEhOnly:
             ),
         )
         mats_scaled = build_matrices(array256, scaled)
-        a = closed_form_eh_only(mats, scn)
-        b = closed_form_eh_only(mats_scaled, scaled)
+        a = sca_solve(mats, scn, mask=harvesters_only(mats))
+        b = sca_solve(mats_scaled, scaled, mask=harvesters_only(mats_scaled))
         assert np.argmax(a.allocation.powers) == np.argmax(b.allocation.powers)
 
     @pytest.mark.parametrize("decoders", [True, False], ids=["decoders", "no_decoders"])
     def test_rejects_positive_floor_with_decoders(self, reference_setup, decoders):
         # no harvester-only allocation meets a positive floor, with or without
-        # decoders in the scenario
+        # decoders in the scenario: the schedule is infeasible at r* = 0
         cfg, scn, mats = reference_setup
         if not decoders:
             scn = dataclasses.replace(scn, id_receivers=(), sigma2=(), rate_floor=3.0)
             mats = build_matrices(cfg, scn)
             assert sca_solve(mats, scn).status is SolveStatus.INFEASIBLE
-        with pytest.raises(ValueError):
-            closed_form_eh_only(mats, scn)
+        report = sca_solve(mats, scn, mask=harvesters_only(mats))
+        assert report.status is SolveStatus.INFEASIBLE
+        assert report.residuals == {"r_star": 0.0}
 
 
 class TestClosedFormMixed:
@@ -356,15 +358,15 @@ class TestClosedFormMixed:
         rng = np.random.default_rng(61)
         mats, scn = synthetic_single_decoder(rng, n_eh=3)
         scn = dataclasses.replace(scn, rate_floor=0.0)
-        report = closed_form_mixed(mats, scn)
-        best, _ = eh_priority(mats)
+        report = sca_solve(mats, scn)
+        best = np.argmax(mats.priorities)
         assert report.allocation.powers[best] == pytest.approx(scn.p0)
         assert report.allocation.powers.sum() == pytest.approx(scn.p0)
 
     def test_zero_coupling_gives_exact_rate_power(self, array256):
         rng = np.random.default_rng(67)
         mats, scn = synthetic_single_decoder(rng, n_eh=2, common_coupling=0.0)
-        report = closed_form_mixed(mats, scn)
+        report = sca_solve(mats, scn)
         if report.status is not SolveStatus.OPTIMAL:
             pytest.skip("infeasible draw")
         k = mats.n_eh
@@ -376,27 +378,19 @@ class TestClosedFormMixed:
         rng = np.random.default_rng(71)
         for _ in range(20):
             mats, scn = synthetic_single_decoder(rng)
-            report = closed_form_mixed(mats, scn)
+            report = sca_solve(mats, scn)
             if report.status is not SolveStatus.OPTIMAL:
                 continue
             y = report.allocation.powers
             assert y.sum() == scn.p0
-            best, _ = eh_priority(mats)
-            if best != mats.n_eh:
+            if np.argmax(mats.priorities) != mats.n_eh:
                 assert abs(report.residuals["rate_slack"]) < 1e-6
-
-    @pytest.mark.parametrize("decoders", [(False, False), (True, True)], ids=["none", "two"])
-    def test_needs_exactly_one_decoder(self, reference_setup, decoders):
-        _, scn, mats = reference_setup
-        mask = np.array((True,) * mats.n_eh + decoders)
-        with pytest.raises(ValueError, match="exactly one active decoder"):
-            closed_form_mixed(mats, scn, mask)
 
     def test_infeasible_when_budget_below_rate_power(self, array256):
         rng = np.random.default_rng(73)
         mats, scn = synthetic_single_decoder(rng, n_eh=1)
         tiny = dataclasses.replace(scn, p0=1e-9, rate_floor=10.0)
-        report = closed_form_mixed(mats, tiny)
+        report = sca_solve(mats, tiny)
         assert report.status is SolveStatus.INFEASIBLE
 
     def test_all_power_to_decoder_past_coupling_threshold(self, array256):
@@ -414,7 +408,7 @@ class TestClosedFormMixed:
             lam = mats.lambda_masked.copy()
             lam[0, 1] = lam[1, 0] = 0.2
             mats = dataclasses.replace(mats, lambda_masked=lam)
-            report = closed_form_mixed(mats, scn)
+            report = sca_solve(mats, scn)
             if report.status is not SolveStatus.OPTIMAL:
                 continue
             decoder_took_all = report.allocation.powers[k_slot] == pytest.approx(scn.p0)
@@ -424,7 +418,7 @@ class TestClosedFormMixed:
         rng = np.random.default_rng(83)
         for _ in range(30):
             mats, scn = synthetic_single_decoder(rng)
-            report = closed_form_mixed(mats, scn)
+            report = sca_solve(mats, scn)
             best_val, _ = lp_vertex_oracle(mats, scn)
             if report.status is not SolveStatus.OPTIMAL:
                 assert best_val is None
@@ -449,19 +443,19 @@ class TestExhaustiveSearch:
         )
         mats = build_matrices(array256, scn)
         report = exhaustive_search(mats, scn)
-        cf = closed_form_eh_only(mats, scn)
-        assert report.objective == pytest.approx(cf.objective, rel=1e-12)
+        single = sca_solve(mats, scn)
+        assert report.objective == pytest.approx(single.objective, rel=1e-12)
 
     def test_matches_single_decoder_closed_form(self, array256):
         rng = np.random.default_rng(89)
         for _ in range(3):
             mats, scn = synthetic_single_decoder(rng, n_eh=2)
             report = exhaustive_search(mats, scn, TIGHT)
-            cf = closed_form_mixed(mats, scn)
-            if cf.status is not SolveStatus.OPTIMAL:
+            single = sca_solve(mats, scn)
+            if single.status is not SolveStatus.OPTIMAL:
                 assert report.status is SolveStatus.INFEASIBLE
                 continue
-            assert report.objective == pytest.approx(cf.objective, rel=1e-4)
+            assert report.objective == pytest.approx(single.objective, rel=1e-4)
 
     def test_dominates_direct_solve(self, array256):
         rng = np.random.default_rng(97)
@@ -530,8 +524,9 @@ class TestEdgeCases:
             rate_floor=0.0,
         )
         mats = build_matrices(array256, scn)
-        with pytest.raises(ValueError):
-            closed_form_eh_only(mats, scn)
+        # the harvester-only schedule of a scenario without harvesters is empty
+        with pytest.raises(ValueError, match="mask must keep at least one slot active"):
+            sca_solve(mats, scn, mask=harvesters_only(mats))
 
     def test_rate_max_respects_decoder_mask(self, reference_setup):
         _, scn, mats = reference_setup
@@ -567,9 +562,8 @@ class TestEdgeCases:
             lambda mats, scn, mask: sca_solve(mats, scn, mask=mask),
             lambda mats, scn, mask: inner_convex(np.ones(mats.n_slots), mats, scn, mask),
             fp_rate_max,
-            closed_form_mixed,
         ],
-        ids=["reduced", "sca_solve", "inner_convex", "fp_rate_max", "closed_form_mixed"],
+        ids=["reduced", "sca_solve", "inner_convex", "fp_rate_max"],
     )
     def test_empty_mask_rejected(self, reference_setup, call, rate_floor):
         _, scn, mats = reference_setup
@@ -581,11 +575,6 @@ class TestEdgeCases:
         _, scn, mats = reference_setup
         with pytest.raises(ValueError):
             sca_solve(mats, scn, mask=np.array([True, False]))
-
-    def test_closed_form_mixed_needs_one_decoder(self, reference_setup):
-        _, scn, mats = reference_setup
-        with pytest.raises(ValueError):
-            closed_form_mixed(mats, scn)  # two active decoders
 
     def test_solver_options_validation(self):
         for bad in (0.0, -1e-3, math.nan, math.inf, "0.001", True):
