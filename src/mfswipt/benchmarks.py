@@ -25,6 +25,7 @@ from .solvers import (
     SolveStatus,
     SolverOptions,
     _infeasible_report,
+    _objective,
     _report,
     _schedules,
     exhaustive_search,
@@ -49,13 +50,21 @@ class SchemeId(Enum):
 
 
 def _equal_split_report(
-    mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray
+    mats: CorrelationMatrices,
+    scenario: Scenario,
+    mask: np.ndarray,
+    incumbent: float | None = None,
 ) -> SolveReport | None:
-    """Equal power over the masked slots if that split meets the rate floor."""
+    """Equal power over the masked slots if that split meets the rate floor.
+    Given an incumbent objective, a split that does not beat it strictly is
+    dropped before its rate is evaluated."""
     count = int(mask.sum())
     if count == 0:
         return None
-    report = _report(mats, scenario, np.where(mask, scenario.p0 / count, 0.0))
+    y = np.where(mask, scenario.p0 / count, 0.0)
+    if incumbent is not None and not _objective(mats, y) > incumbent:
+        return None
+    report = _report(mats, scenario, y)
     return report if report.residuals["rate_slack"] >= -1e-9 else None
 
 
@@ -93,8 +102,9 @@ def run_scheme(
     if scheme is SchemeId.OS_EPA:
         best: SolveReport | None = None
         for mask in _schedules(n):
-            report = _equal_split_report(mats, scenario, mask)
-            if report is not None and (best is None or report.objective > best.objective):
+            incumbent = None if best is None else best.objective
+            report = _equal_split_report(mats, scenario, mask, incumbent)
+            if report is not None:
                 best = report
         return best if best is not None else _infeasible_report(mats)
 

@@ -88,6 +88,14 @@ def _check_writable(path: str | None) -> None:
         raise ValueError(f"cannot write {path}: not a file in a writable directory")
 
 
+def _discard_stdout() -> None:
+    """The reader of stdout has gone (``mfswipt sweep ... | head -3``): send what
+    is left, the interpreter's final flush included, to the null device."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _write_rows(
     path: str | None, rows: list[ResultRow], header_meta: dict, trailer: list[str] = ()
 ) -> None:
@@ -100,6 +108,10 @@ def _write_rows(
         writer.writerows([_fmt(v) for v in dataclasses.astuple(row)] for row in rows)
         for line in trailer:
             out.write(f"# {line}\n")
+    except BrokenPipeError:
+        if path:
+            raise
+        _discard_stdout()  # an early close of stdout is not a failure of the command
     finally:
         if path:
             out.close()
@@ -265,6 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    code = _run(argv)
+    try:
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
+    except BrokenPipeError:
+        _discard_stdout()
+    return code
+
+
+def _run(argv) -> int:
     _setup_logging()
     try:
         args = build_parser().parse_args(argv)

@@ -193,10 +193,15 @@ def _parse_receiver(entry: dict, z: float, idx: int, kind: str) -> Receiver:
 
 
 def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
-    """Load and validate a scenario file; distances in Z-multiples are resolved here."""
+    """Load and validate a scenario file; distances in Z-multiples are resolved here.
+
+    The file is read by libyaml's safe loader when PyYAML was built with it
+    (several times faster, same document) and by the pure
+    Python one otherwise; their parse-error messages differ in wording."""
     raw = Path(path).read_text()
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.safe_load(raw)
+        doc = yaml.load(raw, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):

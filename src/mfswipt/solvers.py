@@ -31,7 +31,9 @@ Solvers provided:
   is a linear program, which `sca_solve` solves exactly by comparing its
   vertices, with no rounds.
 * `exhaustive_search` - brute force over all 2^(K+M) schedules, the
-  benchmark oracle.
+  benchmark oracle, which skips the schedules whose objective bound
+  P0 max rho cannot beat the incumbent and solves `fp_rate_max` once per
+  decoder subset.
 
 Every solver accepts an optional boolean `mask` pinning the complementary
 slots to zero power; unscheduled harvesters still collect leakage in the
@@ -45,6 +47,7 @@ import itertools
 import logging
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -706,6 +709,25 @@ def _lp_report(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray) 
     return _report(mats, scenario, y)
 
 
+# the decoder-only starts that the running `exhaustive_search` has solved,
+# keyed by decoder subset; None outside a search.  A context variable, so
+# `sca_solve` keeps its signature and each thread sees only its own search
+_RATE_MAX_STARTS: ContextVar[dict | None] = ContextVar("rate_max_starts", default=None)
+
+
+def _rate_max_start(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray):
+    """`fp_rate_max` on the schedule's decoders.  It reads only mask & decoders,
+    so inside `exhaustive_search` every subset is solved once and its result
+    shared by the schedules that keep those decoders."""
+    starts = _RATE_MAX_STARTS.get()
+    if starts is None:
+        return fp_rate_max(mats, scenario, mask)
+    key = mask[mats.n_eh :].tobytes()
+    if key not in starts:
+        starts[key] = fp_rate_max(mats, scenario, mask)
+    return starts[key]
+
+
 def sca_solve(
     mats: CorrelationMatrices,
     scenario: Scenario,
@@ -727,7 +749,7 @@ def sca_solve(
     if scenario.rate_floor <= 0 or np.count_nonzero(mask[mats.n_eh :]) <= 1:
         return _lp_report(mats, scenario, mask)
 
-    best = fp_rate_max(mats, scenario, mask)
+    best = _rate_max_start(mats, scenario, mask)
     if not best.r_star >= scenario.rate_floor - FEASIBILITY_TOLERANCE:  # NaN is infeasible
         return _infeasible_report(mats, r_star=best.r_star)
 
@@ -780,10 +802,37 @@ def exhaustive_search(
     positive; ties resolve to the lexicographically smallest schedule
     (slot 0 is the most significant position).  More than
     MAX_SCHEDULE_SLOTS slots are refused.
+
+    The search is pruned (branch and bound, Land & Doig 1960): a schedule
+    spends at most P0 on its slots and every priority is >= 0, so its
+    objective is at most P0 max_{p in mask} rho_p.  The full schedule, the `proposed` solve, is
+    solved first and seeds the incumbent; a schedule whose bound falls
+    strictly below the incumbent is not solved, and since it would lose to
+    the final best it moves neither the answer nor the tie-break.  Inside
+    one search `fp_rate_max` runs once per decoder subset.  `iterations`
+    sums the rounds of the solved schedules.
     """
+    token = _RATE_MAX_STARTS.set({})
+    try:
+        return _exhaustive(mats, scenario, opts)
+    finally:
+        _RATE_MAX_STARTS.reset(token)
+
+
+def _exhaustive(
+    mats: CorrelationMatrices, scenario: Scenario, opts: SolverOptions
+) -> SolveReport:
     n = mats.n_slots
+    rho = mats.priorities
     best: SolveReport | None = None
     total_iters = 0
+    full = None  # solved first when the loop would solve it: it seeds the incumbent
+    if n and (scenario.rate_floor <= 0 or mats.n_id):
+        full = sca_solve(mats, scenario, opts, np.ones(n, dtype=bool))
+        total_iters += full.iterations
+    seed = -math.inf
+    if full is not None and full.status is SolveStatus.OPTIMAL:
+        seed = full.objective
     for mask in _schedules(n):
         schedule = "".join("01"[b] for b in mask.tolist())
         if not mask.any():
@@ -794,8 +843,20 @@ def exhaustive_search(
         if scenario.rate_floor > 0 and not mask[mats.n_eh :].any():
             log.debug("schedule %s -> skipped (no decoder under a positive floor)", schedule)
             continue
-        report = sca_solve(mats, scenario, opts, mask)
-        total_iters += report.iterations
+        if mask.all():
+            report = full
+        else:
+            # rounding: the computed priorities @ y and the stored y's sum
+            # exceed their exact values by at most a few n u relative
+            # (u = 2^-53), under 1e-14 for n <= 20 slots, so the bound raised
+            # by 1e-12 still covers every computed objective of the schedule
+            bound = scenario.p0 * float(rho[mask].max()) * (1.0 + 1e-12)
+            bar = seed if best is None else max(seed, best.objective)
+            if bound < bar:
+                log.debug("schedule %s -> pruned bound=%s incumbent=%s", schedule, bound, bar)
+                continue
+            report = sca_solve(mats, scenario, opts, mask)
+            total_iters += report.iterations
         log.debug(
             "schedule %s -> %s objective=%s", schedule, report.status.value, report.objective
         )

@@ -1,10 +1,16 @@
 import dataclasses
+import fcntl
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import mfswipt
 from mfswipt import bundled_scenario_path
 from mfswipt.benchmarks import ResultRow
 from mfswipt.cli import (
@@ -253,7 +259,8 @@ class TestSolve:
                 == EXIT_OK
             )
         logged = [rec for rec in caplog.records if rec.message.startswith("schedule ")]
-        assert len(logged) == 32  # 2^5 schedules examined (solved or skipped)
+        assert len(logged) == 32  # 2^5 schedules examined (solved, skipped or pruned)
+        assert any(" -> pruned " in rec.message for rec in logged)
 
     def test_wall_time_flag(self, tmp_path):
         out = tmp_path / "row.csv"
@@ -367,6 +374,30 @@ class TestSweep:
         out = tmp_path / "nodir" / "sweep.csv"
         argv = ["sweep", BUNDLED, "--variable", "R", "--grid", "2", "--output", str(out)]
         assert_unwritable(tmp_path, capsys, argv, out)
+
+    def test_closed_pipe_is_not_a_failure(self):
+        # a reader that stops early (`mfswipt sweep ... | head -1`): the rows do
+        # not fit the pipe, shrunk to one page, and the 8 KiB write buffer, so
+        # the child writes into a closed pipe; every row is Optimal at R = 0,
+        # so the sweep's own exit code is 0
+        src = str(Path(mfswipt.__file__).resolve().parents[1])
+        code = "import sys; sys.path.insert(0, sys.argv[1]); from mfswipt.cli import main; "
+        code += "sys.exit(main(sys.argv[2:]))"
+        grid = ",".join(["0"] * 400)
+        argv = ["sweep", BUNDLED, "--variable", "R", "--grid", grid, "--schemes", "as_epa"]
+        read_fd, write_fd = os.pipe()
+        fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-W", "ignore", "-c", code, src, *argv],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+        )
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as reader:
+            assert reader.readline().startswith(b"# mfswipt v")
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == EXIT_OK
 
 
 class TestCorrelate:

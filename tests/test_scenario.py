@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from mfswipt import (
     Scenario,
@@ -132,6 +133,19 @@ class TestParsing:
     def test_not_yaml_rejected(self, tmp_path):
         with pytest.raises(ScenarioError):
             parse_scenario(write_scenario(tmp_path, "array: [unclosed"))
+
+    def test_pure_python_loader_agrees(self, tmp_path, monkeypatch):
+        # without libyaml the pure-Python loader reads the same document and
+        # refuses the same malformed file (its message words the fault differently)
+        bad = write_scenario(tmp_path, "array: [unclosed")
+        with pytest.raises(ScenarioError, match="^cannot parse ") as fast_error:
+            parse_scenario(bad)
+        fast = parse_scenario(bundled_scenario_path())
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert parse_scenario(bundled_scenario_path()) == fast
+        with pytest.raises(ScenarioError, match="^cannot parse ") as pure_error:
+            parse_scenario(bad)
+        assert type(pure_error.value.__cause__) is type(fast_error.value.__cause__)
 
     def test_empty_scenario_rejected(self, tmp_path):
         text = MINIMAL.replace("- {theta: 0.0, r_m: 400.0}", "")

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     achieved_sinr,
@@ -15,12 +17,14 @@ from conftest import (
     synthetic_single_decoder,
 )
 from mfswipt import (
+    ArrayConfig,
     PolarLocation,
     Receiver,
     Scenario,
     SolveStatus,
     SolverOptions,
     build_matrices,
+    dbm_to_watts,
     exhaustive_search,
     fp_rate_max,
     inner_convex,
@@ -481,6 +485,106 @@ class TestExhaustiveSearch:
                 ),
                 big,
             )
+
+
+def brute_force(mats, scn):
+    """`exhaustive_search` without pruning or shared starts: `sca_solve` on
+    every schedule that has a slot (and a decoder under a positive floor).
+    Returns the first strict maximum as (objective, allocation), or None when
+    no schedule is feasible (the empty schedule scores 0 without a floor),
+    and each solved schedule's outcome as its debug line words it."""
+    best, outcomes = None, {}
+    for mask in _schedules(mats.n_slots):
+        if not mask.any():
+            if scn.rate_floor <= 0:
+                best = (0.0, np.zeros(mats.n_slots))
+            continue
+        if scn.rate_floor > 0 and not mask[mats.n_eh :].any():
+            continue
+        report = sca_solve(mats, scn, mask=mask)
+        bits = "".join("01"[b] for b in mask.tolist())
+        outcomes[bits] = (report.status.value, report.objective)
+        if report.status is SolveStatus.OPTIMAL and (best is None or report.objective > best[0]):
+            best = (report.objective, report.allocation.powers)
+    return best, outcomes
+
+
+class ScheduleLines(logging.Handler):
+    """Collects `exhaustive_search`'s per-schedule debug lines."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        if record.getMessage().startswith("schedule "):
+            self.lines.append(record.getMessage())
+
+
+PRUNE_CFG = ArrayConfig(n_antennas=256, carrier_freq=30e9)
+PRUNE_Z = rayleigh_distance(PRUNE_CFG)
+
+
+@st.composite
+def pruning_cases(draw):
+    """K = 0-4 harvesters at 0.015-0.3 Z, M = 1-3 decoders at 1.05-1.3 Z,
+    P0 20-44 dBm, and a floor of 0, a drawn 5-95% of the deployment's
+    maximum sum-rate r*, or 0.5 bps/Hz above r*."""
+
+    def rx(lo, hi):
+        theta = draw(st.floats(-0.8, 0.8))
+        return Receiver(PolarLocation(theta, draw(st.floats(lo, hi)) * PRUNE_Z))
+
+    k, m = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    scn = Scenario(
+        eh_receivers=tuple(rx(0.015, 0.3) for _ in range(k)),
+        id_receivers=tuple(rx(1.05, 1.3) for _ in range(m)),
+        sigma2=(dbm_to_watts(-80.0),) * m,
+        p0=dbm_to_watts(draw(st.floats(20.0, 44.0))),
+        rate_floor=0.0,
+    )
+    mats = build_matrices(PRUNE_CFG, scn)
+    floor = draw(st.sampled_from(["zero", "drawn", "above"]))
+    if floor != "zero":
+        r_star = fp_rate_max(mats, scn).r_star
+        share = draw(st.floats(0.05, 0.95))
+        rate_floor = share * r_star if floor == "drawn" else r_star + 0.5
+        scn = dataclasses.replace(scn, rate_floor=rate_floor)
+    return mats, scn
+
+
+@settings(max_examples=50)
+@given(pruning_cases())
+def test_pruning_changes_no_answer(case):
+    mats, scn = case
+    logger = logging.getLogger("mfswipt.solvers")
+    handler, level = ScheduleLines(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        got = exhaustive_search(mats, scn)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    want, outcomes = brute_force(mats, scn)
+    if want is None:
+        assert got.status is SolveStatus.INFEASIBLE
+        assert not got.allocation.powers.any()
+    else:
+        assert got.status is SolveStatus.OPTIMAL
+        assert float(got.objective).hex() == float(want[0]).hex()
+        assert got.allocation.powers.tobytes() == want[1].tobytes()
+    # every schedule solved inside the search (with shared decoder-only
+    # starts) reports as it does alone; every pruned one loses strictly
+    assert len(handler.lines) == 2**mats.n_slots
+    for line in handler.lines:
+        bits, outcome = re.match(r"schedule (\d+) -> (\S+)", line).groups()
+        if outcome == "pruned":
+            status, objective = outcomes[bits]
+            assert status != "Optimal" or objective < got.objective
+        elif outcome not in ("empty", "skipped"):
+            status, objective = outcomes[bits]
+            assert line.endswith(f"-> {status} objective={objective}")
 
 
 class TestEdgeCases:
