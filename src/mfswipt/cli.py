@@ -190,6 +190,25 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if any(r.status == SolveStatus.OPTIMAL.value for r in rows) else EXIT_INFEASIBLE
 
 
+def _error_grid_text(thetas, radii, exact, approx) -> str:
+    """The error-grid CSV: the bytes `csv.writer` writes for the rows [_fmt(theta),
+    _fmt(r), _fmt(e), _fmt(a), _fmt(|e - a|)], one per point in row-major order.
+
+    No field needs quoting, so the rows are joined directly; each coordinate
+    is formatted once, and `_fmt` (which leaves NaN cells empty) runs only on
+    rows that hold a NaN."""
+    points = itertools.product(
+        [_fmt(t) for t in thetas.tolist()], [_fmt(r) for r in radii.tolist()]
+    )
+    lines = ["theta,r_m,exact,approx,abs_err\n"]
+    for (t, r), e, a in zip(points, exact.ravel().tolist(), approx.ravel().tolist()):
+        if math.isnan(e) or math.isnan(a):
+            lines.append(f"{t},{r},{_fmt(e)},{_fmt(a)},{_fmt(abs(e - a))}\n")
+        else:
+            lines.append(f"{t},{r},{e:.12g},{a:.12g},{abs(e - a):.12g}\n")
+    return "".join(lines)
+
+
 def _cmd_correlate(args) -> int:
     cfg, scn = parse_scenario(args.scenario)
     prefix = Path(args.output_prefix)
@@ -220,17 +239,8 @@ def _cmd_correlate(args) -> int:
                 for j in range(mats.n_slots):
                     writer.writerow([name, i, j, _fmt(float(mat[i, j]))])
 
-    points = itertools.product(
-        [_fmt(t) for t in thetas.tolist()], [_fmt(r) for r in radii.tolist()]
-    )
-    values = zip(exact.ravel().tolist(), approx.ravel().tolist())
     with open(f"{prefix}_error_grid.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta", "r_m", "exact", "approx", "abs_err"])
-        writer.writerows(
-            [theta, r, _fmt(e), _fmt(a), _fmt(abs(e - a))]
-            for (theta, r), (e, a) in zip(points, values)
-        )
+        fh.write(_error_grid_text(thetas, radii, exact, approx))
     print(f"wrote {prefix}_matrices.csv and {prefix}_error_grid.csv")
     return EXIT_OK
 

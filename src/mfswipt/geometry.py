@@ -81,7 +81,9 @@ class PolarLocation:
     """Receiver position as (spatial angle, distance).
 
     spatial_angle lies in [-1, 1].  distance must be positive; math.inf is
-    the far-field sentinel accepted by the correlation routines.
+    the far-field sentinel accepted by the correlation routines.  A finite
+    distance must have a finite square (below about 1.34e154 m), because the
+    exact element distances square it.
     """
 
     spatial_angle: float
@@ -92,6 +94,9 @@ class PolarLocation:
             raise ValueError(f"spatial_angle must lie in [-1, 1], got {self.spatial_angle}")
         if not self.distance > 0.0:
             raise ValueError(f"distance must be > 0, got {self.distance}")
+        r = float(self.distance)
+        if math.isfinite(r) and math.isinf(r * r):
+            raise ValueError(f"distance must have a finite square, got {self.distance}")
 
     @property
     def is_far_field(self) -> bool:
@@ -148,7 +153,13 @@ def _spherical_steering(cfg: ArrayConfig, theta, r) -> np.ndarray:
     delta = _element_delta(cfg, np.arange(cfg.n_antennas))
     rn = _exact_distance(delta, cfg.d, theta, r)
     phase = -2.0 * np.pi * (rn - r) / cfg.wavelength
-    return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
+    # cos and sin written into one complex buffer are exp(1j * phase) bit for
+    # bit (checked on an AVX-512 Xeon with numpy 2.4.6) and skip the complex exp
+    vec = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=vec.real)
+    np.sin(phase, out=vec.imag)
+    vec /= math.sqrt(cfg.n_antennas)
+    return vec
 
 
 def near_steering(cfg: ArrayConfig, loc: PolarLocation) -> np.ndarray:

@@ -17,12 +17,10 @@ from .correlation import CorrelationMatrices
 __all__ = [
     "SCHEDULING_EPS",
     "PowerAllocation",
-    "NonlinearEhParams",
     "id_rate",
     "eh_power",
     "weighted_sum_power",
     "sum_rate",
-    "nonlinear_eh",
 ]
 
 # fraction of the budget below which a solver residual does not count as scheduled
@@ -83,29 +81,3 @@ def weighted_sum_power(mats: CorrelationMatrices, y) -> float:
     yv = _as_vector(y)
     return float(mats.c_eh @ mats.lambda_masked @ yv)
 
-
-@dataclass(frozen=True)
-class NonlinearEhParams:
-    """Logistic rectifier curve parameters (saturation, turn-on point, steepness)."""
-
-    kappa: float
-    varpi: float
-    varrho: float
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.varrho <= 0:
-            raise ValueError(f"varrho must be > 0, got {self.varrho}")
-
-
-def nonlinear_eh(q_rf: float, params: NonlinearEhParams) -> float:
-    """Logistic rectifier output for RF input q_rf, normalized to zero at zero input.
-
-    Saturates at params.kappa for large inputs and is monotone non-decreasing.
-    """
-    if q_rf < 0:
-        raise ValueError(f"RF input power must be >= 0, got {q_rf}")
-    omega = 1.0 / (1.0 + np.exp(params.varrho * params.varpi))
-    psi = params.kappa / (1.0 + np.exp(-params.varrho * (q_rf - params.varpi)))
-    return float((psi - params.kappa * omega) / (1.0 - omega))

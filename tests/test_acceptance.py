@@ -21,7 +21,6 @@ from conftest import (
 from mfswipt import (
     ArrayConfig,
     DegenerateGeometryError,
-    NonlinearEhParams,
     PolarLocation,
     Receiver,
     Scenario,
@@ -36,7 +35,6 @@ from mfswipt import (
     exhaustive_search,
     fp_rate_max,
     fresnel_min_distance,
-    nonlinear_eh,
     rayleigh_distance,
     run_sweep,
     sca_solve,
@@ -330,12 +328,3 @@ def test_c09_ratio_update_fixed_point(reference_setup, array256):
         sinr2 = achieved_sinr(mats2, scn2, res2.allocation.powers)
         assert np.max(np.abs(res2.gamma - sinr2) / sinr2) <= 1e-6
 
-
-def test_c10_nonlinear_harvest_transform():
-    with criterion(10, "logistic rectifier: zero at zero, monotone, saturates"):
-        params = NonlinearEhParams(kappa=0.024, varpi=0.0014, varrho=150.0)
-        assert nonlinear_eh(0.0, params) == 0.0
-        grid = np.linspace(0.0, 0.2, 1000)
-        vals = np.array([nonlinear_eh(float(q), params) for q in grid])
-        assert (np.diff(vals) >= -1e-18).all()
-        assert abs(nonlinear_eh(5.0, params) - params.kappa) <= 1e-6 * params.kappa

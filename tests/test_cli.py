@@ -1,12 +1,17 @@
+import csv
 import dataclasses
 import fcntl
+import io
+import itertools
 import logging
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -19,6 +24,8 @@ from mfswipt.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_UNEXPECTED,
+    _error_grid_text,
+    _fmt,
     main,
 )
 
@@ -422,6 +429,28 @@ class TestCorrelate:
         worst = max(float(ln.split(",")[-1]) for ln in grid[1:] if ln.split(",")[-1])
         assert worst <= 0.05
 
+    def test_error_grid_rows_with_nan_keep_empty_cells(self):
+        # a degenerate point leaves `approx` NaN; a NaN `exact` takes the same
+        # path, and csv.writer with _fmt is the reference for both
+        thetas, radii = np.array([-0.25, 0.5]), np.array([7.5, 1.0 / 3.0])
+        exact = np.array([[0.125, 0.75], [math.nan, 1.0]])
+        approx = np.array([[math.nan, 0.5], [0.5, math.nan]])
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["theta", "r_m", "exact", "approx", "abs_err"])
+        for i, j in itertools.product(range(2), range(2)):
+            e, a = float(exact[i, j]), float(approx[i, j])
+            point = [_fmt(float(thetas[i])), _fmt(float(radii[j]))]
+            writer.writerow(point + [_fmt(e), _fmt(a), _fmt(abs(e - a))])
+        got = _error_grid_text(thetas, radii, exact, approx)
+        assert got == want.getvalue()
+        assert got.splitlines()[1:] == [
+            "-0.25,7.5,0.125,,",
+            "-0.25,0.333333333333,0.75,0.5,0.25",
+            "0.5,7.5,,0.5,",
+            "0.5,0.333333333333,1,,",
+        ]
+
     def _grid(self, tmp_path, name, *flags):
         prefix = tmp_path / name
         argv = ["correlate", BUNDLED, "--output-prefix", str(prefix), "--grid-points", "4"]
@@ -441,10 +470,11 @@ class TestCorrelate:
             (["--ref-theta", "0.1", "--ref-r-over-z", "0"], "distance must be > 0"),
             (["--ref-r-over-z", "-0.1"], "distance must be > 0"),
             (["--ref-r-over-z", "nan"], "distance must be > 0"),
+            (["--ref-r-over-z", "1e160"], "distance must have a finite square"),
             (["--grid-points", "0"], "--grid-points"),
             (["--grid-points", "-3"], "--grid-points"),
         ],
-        ids=["r_zero", "r_negative", "r_nan", "points_zero", "points_negative"],
+        ids=["r_zero", "r_negative", "r_nan", "r_square_inf", "points_zero", "points_negative"],
     )
     def test_rejected_input_writes_nothing(self, tmp_path, capsys, flags, message):
         prefix = tmp_path / "corr"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from mfswipt import (
     fresnel_min_distance,
     rayleigh_distance,
 )
+from mfswipt import correlation
 from mfswipt.correlation import _CLOSED_FORM_BLOCK, _fresnl
 
 # the array256 fixture's array, for strategy bounds
@@ -204,6 +207,13 @@ class TestCorrelationApprox:
                 array256, PolarLocation(0.1, math.inf), PolarLocation(0.4, math.inf)
             )
 
+    def test_largest_distance_is_not_degenerate(self, array256):
+        # sqrt of the largest float still has a finite square; planar reference
+        far = PolarLocation(0.3, math.sqrt(sys.float_info.max))
+        ref = PolarLocation(-0.4, math.inf)
+        assert 0.0 <= correlation_exact(array256, ref, far) <= 1.0
+        assert math.isfinite(correlation_approx(array256, ref, far))
+
 
 class TestCorrelationGrid:
     def _scalar_grid(self, cfg, ref, thetas, radii):
@@ -285,6 +295,52 @@ class TestCorrelationGrid:
             correlation_grid(array256, ref, [0.0, 1.2], [30.0])
         with pytest.raises(ValueError, match="grid"):
             correlation_grid(array256, ref, [0.0], [30.0, math.inf])
+        with pytest.raises(ValueError, match="grid"):
+            correlation_grid(array256, ref, [0.0], [30.0, 1e160])
+
+    # 7 rows split unevenly over 2 and 3 workers; 16 CPUs give one worker per
+    # row, more workers than this host's cores
+    @pytest.mark.parametrize("cpus", [2, 3, 16])
+    def test_worker_count_does_not_move_a_bit(self, array256, monkeypatch, cpus):
+        ref = PolarLocation(0.2, 30.0)
+        thetas = [-0.9, -0.7, -0.2, 0.0, 0.2, 0.5, 0.95]
+        radii = [8.0, 30.0, 95.97, 900.0, 3.0 * Z256]
+        monkeypatch.setattr(correlation, "_cpu_count", lambda: 1)
+        want_exact, want_approx = correlation_grid(array256, ref, thetas, radii)
+        assert np.isnan(want_approx).any()  # (+-0.2, 30 m) is degenerate
+        monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            exact, approx = correlation_grid(array256, ref, thetas, radii)
+        finally:
+            sys.setswitchinterval(interval)
+        assert exact.tobytes() == want_exact.tobytes()
+        assert approx.tobytes() == want_approx.tobytes()
+
+    def test_worker_exception_reaches_the_caller(self, array256, monkeypatch):
+        curvature = correlation._curvature
+
+        def failing(theta, r):
+            if theta == 0.5:  # a row of the second of two workers
+                raise RuntimeError("row 0.5 failed")
+            return curvature(theta, r)
+
+        monkeypatch.setattr(correlation, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(correlation, "_curvature", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="row 0.5 failed"):
+            correlation_grid(array256, PolarLocation(0.1, 20.0), [-0.5, 0.0, 0.5], [9.0, 40.0])
+        assert threading.active_count() == before
+
+    def test_no_worker_outlives_the_call(self, array256, monkeypatch):
+        monkeypatch.setattr(correlation, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        exact, _ = correlation_grid(
+            array256, PolarLocation(0.1, 20.0), np.linspace(-0.9, 0.9, 10), [9.0, 40.0]
+        )
+        assert exact.shape == (10, 2)
+        assert threading.active_count() == before
 
 
 def _scenario(eh_locs, id_locs, alphas=None, zeta=0.5, rate_floor=5.0):

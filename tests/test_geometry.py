@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -242,6 +243,14 @@ class TestValidation:
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
             PolarLocation(0.0, 0.0)
+
+    def test_distance_whose_square_overflows_rejected(self):
+        limit = math.sqrt(sys.float_info.max)
+        assert PolarLocation(0.0, limit).distance == limit
+        assert PolarLocation(0.0, math.inf).is_far_field
+        for r in (1.35e154, 1e160, sys.float_info.max, np.float64(1e200)):
+            with pytest.raises(ValueError, match="finite square"):
+                PolarLocation(0.3, r)
 
     def test_angle_out_of_range_rejected(self):
         with pytest.raises(ValueError):

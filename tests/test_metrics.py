@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mfswipt import (
-    NonlinearEhParams,
     PolarLocation,
     PowerAllocation,
     Receiver,
@@ -14,7 +13,6 @@ from mfswipt import (
     far_steering,
     id_rate,
     near_steering,
-    nonlinear_eh,
     rayleigh_distance,
     sum_rate,
     weighted_sum_power,
@@ -215,36 +213,3 @@ class TestPowerAllocation:
         y = PowerAllocation(np.array([0.5, 2e-7, 0.0]))
         assert y.scheduled_mask(1.0).tolist() == [True, False, False]
 
-
-class TestNonlinearEh:
-    params = NonlinearEhParams(kappa=0.02, varpi=0.001, varrho=250.0)
-
-    def test_zero_input_zero_output(self):
-        assert nonlinear_eh(0.0, self.params) == 0.0
-
-    def test_saturation(self):
-        assert nonlinear_eh(1.0, self.params) == pytest.approx(
-            self.params.kappa, rel=1e-6
-        )
-
-    def test_midpoint_value(self):
-        got = nonlinear_eh(self.params.varpi, self.params)
-        omega = 1 / (1 + math.exp(self.params.varrho * self.params.varpi))
-        expected = (self.params.kappa / 2 - self.params.kappa * omega) / (1 - omega)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_monotone_on_grid(self):
-        grid = np.linspace(0.0, 0.05, 1000)
-        vals = [nonlinear_eh(float(q), self.params) for q in grid]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert min(vals) >= 0.0
-
-    def test_rejects_negative_input(self):
-        with pytest.raises(ValueError):
-            nonlinear_eh(-1e-9, self.params)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            NonlinearEhParams(kappa=0.0, varpi=0.001, varrho=100.0)
-        with pytest.raises(ValueError):
-            NonlinearEhParams(kappa=0.01, varpi=0.001, varrho=0.0)

@@ -49,6 +49,16 @@ assert "scipy" not in sys.modules
 """
 
 
+# the error grid imports its thread pool on first use, so that `import
+# mfswipt` (part of every benchmark workload's set-up) does not pay for it
+NO_POOL_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import mfswipt
+assert "concurrent.futures" not in sys.modules
+"""
+
+
 def run_probe(code, *args):
     src = str(Path(mfswipt.__file__).resolve().parents[1])
     return subprocess.run(
@@ -64,4 +74,9 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
 
 def test_import_loads_no_scipy():
     proc = run_probe(PLAIN_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_thread_pool():
+    proc = run_probe(NO_POOL_IMPORT)
     assert proc.returncode == 0, proc.stderr

@@ -79,6 +79,12 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="distance"):
             parse_scenario(write_scenario(tmp_path, bad))
 
+    def test_distance_whose_square_overflows_rejected(self, tmp_path):
+        # the exact element distances square r; above ~1.34e154 m that is inf
+        bad = MINIMAL.replace("r_m: 400.0", "r_m: 1.0e+160")
+        with pytest.raises(ScenarioError, match=r"id_receivers\[0\]: distance must have a finite square"):
+            parse_scenario(write_scenario(tmp_path, bad))
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         bad = MINIMAL + "\nplotting: {dpi: 300}\n"
         with pytest.raises(ScenarioError, match="plotting"):
