@@ -15,6 +15,7 @@ with the trigonometric terms reduced as scipy's `xsf` does, so they equal
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -295,10 +296,14 @@ class CorrelationMatrices:
     def n_slots(self) -> int:
         return self.lambda_full.shape[0]
 
-    @property
+    @functools.cached_property
     def priorities(self) -> np.ndarray:
-        """Marginal weighted harvested power per allocated watt, per slot."""
-        return self.c_eh @ self.lambda_masked
+        """Marginal weighted harvested power per allocated watt, per slot.
+        Computed once per instance (the frozen dataclass keeps a `__dict__`,
+        where the cache lives) and read-only, since every caller shares it."""
+        rho = self.c_eh @ self.lambda_masked
+        rho.flags.writeable = False
+        return rho
 
 
 def build_matrices(cfg: ArrayConfig, scenario: Scenario) -> CorrelationMatrices:

@@ -16,7 +16,8 @@ Solvers provided:
   expanded at the previous allocation and solved exactly by `inner_convex`
   through the round's Lagrange dual in a rate price and a budget price.
   A floor above the maximum sum-rate of `fp_rate_max` is infeasible.  One
-  solve builds the reduced view of its schedule once, and each round's
+  solve builds its view of all K+M slots once (the schedule only marks
+  which may take power), and each round's
   search for the rate price starts at the previous round's optimal price
   and takes safeguarded Newton steps on the bound's closed-form slope, so
   a round spends about six Lagrangian maximizations.  The starting price
@@ -31,9 +32,10 @@ Solvers provided:
   is a linear program, which `sca_solve` solves exactly by comparing its
   vertices, with no rounds.
 * `exhaustive_search` - brute force over all 2^(K+M) schedules, the
-  benchmark oracle, which skips the schedules whose objective bound
-  P0 max rho cannot beat the incumbent and solves `fp_rate_max` once per
-  decoder subset.
+  benchmark oracle.  A schedule that provably repeats the full schedule's
+  solve takes its report, a schedule whose objective bound (from the
+  interference-free power its decoders need) cannot beat the incumbent is
+  skipped, and `fp_rate_max` runs once per decoder subset.
 
 Every solver accepts an optional boolean `mask` pinning the complementary
 slots to zero power; unscheduled harvesters still collect leakage in the
@@ -48,7 +50,7 @@ import logging
 import math
 import numbers
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -140,35 +142,30 @@ class NoFeasibleInterior(SolverNumericalError):
 
 
 class _Reduced:
-    """Arrays of the allocation problem restricted to the active slots.
+    """Arrays of the allocation problem over every slot, with the schedule's
+    slots in `mask`: only those may take power.
 
-    x indexes active slots only.  For active decoder j (deployment index
-    act_ids[j]): signal A_j(x) = gain_j * x[pos_j], interference-plus-noise
-    B_j(x) = brow_j @ x + sigma2_j with brow_j = gain_j * lam_j, lam_j its
-    couplings to the active slots.  The objective keeps the full priority
-    vector, so pinned harvesters still account for harvested leakage.
+    x indexes all n slots, so a schedule's solve forms the same array
+    products, of the same length, as the full schedule's, and a pinned slot
+    only ever adds an exact zero to them.  For active decoder j (deployment
+    index act_ids[j], slot pos_j): signal A_j(x) = gain_j * x[pos_j],
+    interference-plus-noise B_j(x) = brow_j @ x + sigma2_j with
+    brow_j = gain_j * lam_j, lam_j its couplings to every slot.  The weights
+    w are the priorities with pinned slots at 0; the objective keeps the full
+    priority vector, so pinned harvesters still account for harvested leakage.
     """
 
     def __init__(self, mats: CorrelationMatrices, scenario: Scenario, mask=None):
-        mask = _full_mask(mats, mask)
-        self.idx = np.flatnonzero(mask)
-        self.act_ids = np.flatnonzero(mask[mats.n_eh :])
-        self.n = len(self.idx)
-        self.w = mats.priorities[self.idx]
+        self.mask = _full_mask(mats, mask)
+        self.act_ids = np.flatnonzero(self.mask[mats.n_eh :])
+        self.n = mats.n_slots
+        self.w = np.where(self.mask, mats.priorities, 0.0)
         self.p0 = scenario.p0
         self.rate_floor = scenario.rate_floor
-        slots = mats.n_eh + self.act_ids
+        self.pos = mats.n_eh + self.act_ids
         self.gain = mats.g_id[self.act_ids]
         self.sigma2 = np.array(scenario.sigma2)[self.act_ids]
-        self.lam = mats.lambda_masked[np.ix_(slots, self.idx)]
-        self.brow = self.gain[:, None] * self.lam
-        self.pos = np.searchsorted(self.idx, slots)
-        self.n_slots = mats.n_slots
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.n_slots)
-        y[self.idx] = x
-        return y
+        self.brow = self.gain[:, None] * mats.lambda_masked[self.pos]
 
     def signal(self, x: np.ndarray) -> np.ndarray:
         return self.gain * x[self.pos]
@@ -277,8 +274,10 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
     mask = _full_mask(mats, mask)
     if not mask[mats.n_eh :].any():
         raise ValueError("fp_rate_max needs at least one active decoder")
-    red = _Reduced(mats, scenario, mask & (np.arange(mats.n_slots) >= mats.n_eh))
-    g, s2, eta, p0 = red.gain, red.sigma2, red.lam, red.p0
+    act = np.flatnonzero(mask[mats.n_eh :])
+    slots = mats.n_eh + act
+    g, s2, p0 = mats.g_id[act], np.array(scenario.sigma2)[act], scenario.p0
+    eta = mats.lambda_masked[np.ix_(slots, slots)]
 
     def signal_interference(x):
         return g * x, g * (eta @ x) + s2
@@ -298,7 +297,7 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
         x_free = (u / np.maximum(w, 1e-300)) ** 2
         return x_free if x_free.sum() <= p0 else _water_fill(u, w, p0)
 
-    x = np.full(red.n, p0 / red.n)
+    x = np.full(len(act), p0 / len(act))
     r = rate(x)
     iters = 0
     while iters < MAX_FP_ITERS:
@@ -327,16 +326,17 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
     # the map can stall at a saddle that splits power between decoders which
     # interfere fully (coincident decoders); a single decoder at full power
     # then rates higher
-    for m in range(red.n):
-        vertex = np.zeros(red.n)
+    for m in range(len(act)):
+        vertex = np.zeros(len(act))
         vertex[m] = p0
         r_vertex = rate(vertex)
         if r_vertex > r:
             x, r = vertex, r_vertex
 
     a, b = signal_interference(x)
-    alloc = PowerAllocation(red.embed(x))
-    return RateMaxResult(r_star=r, allocation=alloc, gamma=a / b, iterations=iters)
+    y = np.zeros(mats.n_slots)
+    y[slots] = x
+    return RateMaxResult(r_star=r, allocation=PowerAllocation(y), gamma=a / b, iterations=iters)
 
 
 def _water_fill(u: np.ndarray, w: np.ndarray, p0: float) -> np.ndarray:
@@ -383,10 +383,11 @@ class _BoundModel:
         G(x) = const - sum_j alpha_j / x[pos_j] - c @ x,
 
     where pos_j is the slot of active decoder j, alpha > 0 and c >= 0 (the
-    interference rows enter linearly).  `free` lists the other slots, which
-    G depends on linearly; they include any decoder whose alpha underflows
-    to 0 because it has almost no power at the expansion point.  pos, free,
-    alpha and c are Python lists, read element by element by the dual
+    interference rows enter linearly).  `free` lists the other slots of the
+    schedule, which G depends on linearly; they include any decoder whose
+    alpha underflows to 0 because it has almost no power at the expansion
+    point.  A slot off the schedule is in neither list and keeps 0 W.  pos,
+    free, alpha and c are Python lists, read element by element by the dual
     search; c_vec keeps c as an array for the dot product in G.
     """
 
@@ -394,7 +395,7 @@ class _BoundModel:
         a, b, c0 = _bound_coeffs(s, i)
         alpha = a / red.gain
         on = alpha > 0
-        free = np.ones(red.n, dtype=bool)
+        free = red.mask.copy()
         free[red.pos[on]] = False
         self.pos = red.pos[on].tolist()
         self.alpha = alpha[on].tolist()
@@ -425,8 +426,10 @@ def _ordered_sum(values) -> float:
 
 def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
     """Maximize w @ x + nu G(x) over 1'x <= P0, x >= 0, for a rate price nu > 0.
-    Returns (x, p, full): p is the free slot that takes the leftover budget,
-    or None, and full tells whether the decoders spend the whole budget.
+    Returns (x, p, full): p is the free slot of best positive reduced cost,
+    or None, and full tells whether the decoders spend the whole budget.  p
+    takes the leftover budget unless they do; either way its price bounds
+    theirs, so p shapes x.  Every other free slot has exactly 0 W.
 
     With tau the budget price, decoder slot q takes sqrt(nu alpha_q / beta_q),
     beta_q = tau + nu c_q - w_q.  The free slots are linear: the leftover
@@ -450,25 +453,26 @@ def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
     pos, free, c = model.pos, model.free, model.c
     d = [wq - nu * cq for wq, cq in zip(w, c)]
     x = [0.0] * len(w)
-    spend = False
+    p = None
     if free:
         d_free = [d[q] for q in free]
-        p = free[d_free.index(max(d_free))]
-        spend = d[p] > 0
+        q = free[d_free.index(max(d_free))]
+        if d[q] > 0:
+            p = q
     if not pos:  # G is affine: a linear program over the budget
-        if spend:
+        if p is not None:
             x[p] = p0
-        return np.array(x), p if spend else None, False
+        return np.array(x), p, False
     d_pos = [d[q] for q in pos]
     j0 = d_pos.index(max(d_pos))
     q0 = pos[j0]
     w0, c0 = w[q0], c[q0]
     delta = [max(-((w[q] - w0) - nu * (c[q] - c0)), 0.0) for q in pos]
     num = [nu * a for a in model.alpha]
-    beta_h = (w[p] - w0) - nu * (c[p] - c0) if spend else -d[q0]
+    beta_h = (w[p] - w0) - nu * (c[p] - c0) if p is not None else -d[q0]
     beta = max(beta_h, num[j0] / p0**2)
     if not beta > 0.0:  # nu alpha_q0 underflowed: no finite maximizer at this price
-        return np.full(len(w), math.nan), None, False
+        return np.full(len(w), math.nan), p, False
     t = [math.sqrt(n / (beta + e)) for n, e in zip(num, delta)]
     s = _ordered_sum(t)
     if s > p0 or beta > beta_h:  # the decoders spend the whole budget
@@ -483,12 +487,12 @@ def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
         ratio = p0 / s
         for q, tj in zip(pos, t):
             x[q] = tj * ratio
-        return np.array(x), None, True
+        return np.array(x), p, True
     for q, tj in zip(pos, t):
         x[q] = tj
-    if spend:
+    if p is not None:
         x[p] = p0 - s
-    return np.array(x), p if spend else None, False
+    return np.array(x), p, False
 
 
 def _bound_slope(model: _BoundModel, x: list, w: list, nu: float, p, full: bool) -> float:
@@ -513,10 +517,10 @@ def _bound_slope(model: _BoundModel, x: list, w: list, nu: float, p, full: bool)
     pos = model.pos
     try:
         r = [x[q] ** 3 / (nu * a) for a, q in zip(model.alpha, pos)]
-        if p is not None:
-            b = w[p]
-        elif full:
+        if full:
             b = _ordered_sum(rq * w[q] for rq, q in zip(r, pos)) / _ordered_sum(r)
+        elif p is not None:
+            b = w[p]
         else:
             b = 0.0
     except (ZeroDivisionError, OverflowError):
@@ -531,11 +535,14 @@ NEWTON_PUSH = 1e-9
 
 def _solve_round(
     model: _BoundModel, w: np.ndarray, floor: float, p0: float, price: float = 0.0
-) -> tuple[np.ndarray, int, float, float]:
+) -> tuple[np.ndarray, int, float, float, set]:
     """Maximize w @ x subject to G(x) >= floor, 1'x <= P0 and x >= 0, exactly.
-    Returns (x, evaluations, rate price, bound slack): the Lagrangian
-    evaluations spent, and the price nu and G - floor at the feasible end of
-    the final bracket (the price tends to 0 when the floor does not bind).
+    Returns (x, evaluations, rate price, bound slack, leftover candidates):
+    the Lagrangian evaluations spent, the price nu and G - floor at the
+    feasible end of the final bracket (the price tends to 0 when the floor
+    does not bind), and the set of slots p that `_lagrangian_argmax` returned
+    in any evaluation.  Every other free slot ends at exactly 0 W and never
+    shaped an evaluation.
 
     G(x(nu)) at the Lagrangian maximizer x(nu) is non-decreasing in the rate
     price nu, so a safeguarded search on t = log nu finds the optimal price.
@@ -576,11 +583,14 @@ def _solve_round(
     # G >= floor (True) or not -> [log nu, G - floor, x, interpolation weight,
     # nu, w @ x, the dual bound w @ x + nu (G - floor)]
     ends = {}
+    leftover = set()
     side = hi = None
     older = last = math.inf  # lengths of the two latest moves in t
     for evals in range(2, 202):  # evaluation 1 was `top`
         nu = math.exp(t)
         x, p, full = _lagrangian_argmax(model, weights, nu, p0)
+        if p is not None:
+            leftover.add(p)
         phi = model.value(x) - floor
         if (phi >= 0) == side and (not side) in ends:
             ends[not side][3] *= 0.5  # Illinois: the same end moved twice
@@ -617,7 +627,7 @@ def _solve_round(
     if hi is None:
         raise SolverNumericalError("no rate price meets the floor")
     best = hi[2] if lo is None else hi[2] + share * (lo[2] - hi[2])
-    return best, evals, hi[4], hi[1]
+    return best, evals, hi[4], hi[1], leftover
 
 
 def inner_convex(
@@ -647,12 +657,14 @@ def inner_convex(
     it moves only last bits inside the search's certified gap.  A `stats`
     dict, when given, receives "dual_evals", the number of Lagrangian
     maximizations the round spent, "rate_price", the round's optimal rate
-    price (near 0 when the floor does not bind), and "bound_slack", G - R at
-    the feasible end of the final bracket.
+    price (near 0 when the floor does not bind), "bound_slack", G - R at the
+    feasible end of the final bracket, and "leftover", the round's leftover
+    candidates: each maximization's free slot of best positive reduced cost
+    (see `_lagrangian_argmax`).
     """
     if red is None:
         red = _Reduced(mats, scenario, mask)
-    x = np.asarray(y, dtype=float)[red.idx]
+    x = np.where(red.mask, np.asarray(y, dtype=float), 0.0)  # a pinned slot has no power
     with np.errstate(divide="ignore"):
         s = 1.0 / red.signal(x)
     i = red.interference(x)
@@ -662,10 +674,12 @@ def inner_convex(
                 f"decoder {m} has a non-finite linearization slack (S={s_m}, I={i_m}): it has no power"
             )
     model = _BoundModel(red, s, i)
-    x, evals, price, slack = _solve_round(model, red.w, red.rate_floor, red.p0, rate_price)
+    x, evals, price, slack, leftover = _solve_round(
+        model, red.w, red.rate_floor, red.p0, rate_price
+    )
     if stats is not None:
-        stats.update(dual_evals=evals, rate_price=price, bound_slack=slack)
-    return PowerAllocation(red.embed(x))
+        stats.update(dual_evals=evals, rate_price=price, bound_slack=slack, leftover=leftover)
+    return PowerAllocation(x)
 
 
 # ---------------------------------------------------------------------------
@@ -709,23 +723,35 @@ def _lp_report(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray) 
     return _report(mats, scenario, y)
 
 
-# the decoder-only starts that the running `exhaustive_search` has solved,
-# keyed by decoder subset; None outside a search.  A context variable, so
-# `sca_solve` keeps its signature and each thread sees only its own search
-_RATE_MAX_STARTS: ContextVar[dict | None] = ContextVar("rate_max_starts", default=None)
+@dataclass
+class _Search:
+    """What the running `exhaustive_search` shares between the solves it
+    makes: the decoder-only start of each decoder subset (`starts`, keyed by
+    the subset's bits), and the leftover candidates of every round of the
+    full schedule's solve (`leftover`, None until that solve has run its
+    rounds)."""
+
+    starts: dict = field(default_factory=dict)
+    leftover: set | None = None
+
+
+# the scope of the running `exhaustive_search`; None outside a search.  A
+# context variable, so `sca_solve` keeps its signature and each thread sees
+# only its own search
+_SEARCH: ContextVar[_Search | None] = ContextVar("search", default=None)
 
 
 def _rate_max_start(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray):
     """`fp_rate_max` on the schedule's decoders.  It reads only mask & decoders,
     so inside `exhaustive_search` every subset is solved once and its result
     shared by the schedules that keep those decoders."""
-    starts = _RATE_MAX_STARTS.get()
-    if starts is None:
+    search = _SEARCH.get()
+    if search is None:
         return fp_rate_max(mats, scenario, mask)
     key = mask[mats.n_eh :].tobytes()
-    if key not in starts:
-        starts[key] = fp_rate_max(mats, scenario, mask)
-    return starts[key]
+    if key not in search.starts:
+        search.starts[key] = fp_rate_max(mats, scenario, mask)
+    return search.starts[key]
 
 
 def sca_solve(
@@ -744,6 +770,12 @@ def sca_solve(
     Each round's feasible region contains the previous optimum and the bound
     touches the true rate there, so the objective trace is non-decreasing;
     the loop stops when the fractional increase falls under the threshold.
+
+    Every round works on all K+M slots, a schedule only removing slots from
+    those that may take power, so pinning a slot that was never a leftover
+    candidate (see `_lagrangian_argmax`) leaves the iterates as they were.
+    Inside `exhaustive_search` the full schedule's solve records its
+    candidates for the search (see there).
     """
     mask = _full_mask(mats, mask)
     if scenario.rate_floor <= 0 or np.count_nonzero(mask[mats.n_eh :]) <= 1:
@@ -759,6 +791,7 @@ def sca_solve(
     iterations = 0
     red = _Reduced(mats, scenario, mask)
     stats = {"rate_price": 0.0}
+    leftover = set()
     for iterations in range(1, opts.max_outer_iters + 1):
         try:
             alloc = inner_convex(
@@ -768,6 +801,7 @@ def sca_solve(
             status = SolveStatus.OPTIMAL
             iterations -= 1
             break
+        leftover |= stats["leftover"]
         obj_new = _objective(mats, alloc.powers)
         trace.append(obj_new)
         log.debug(
@@ -784,11 +818,69 @@ def sca_solve(
             status = SolveStatus.OPTIMAL
             break
 
+    search = _SEARCH.get()
+    if search is not None and mask.all():
+        search.leftover = leftover
     return _report(mats, scenario, y, status, trace, iterations)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive oracle
+
+
+def _least_decoder_power(mats: CorrelationMatrices, scenario: Scenario, decoders) -> float:
+    """P_min of the exhaustive search's bound for the decoders in `decoders`
+    (one entry per decoder): the least total power whose sum-rate, each
+    decoder free of interference, reaches R - 2 FEASIBILITY_TOLERANCE,
+    lowered by 1e-9 relative and clamped to P0; 0 where that rate is not
+    positive.
+
+    The minimum is water-filling: with noise_m = sigma2_m / g_m, decoder m
+    takes max(0, mu - noise_m).  With the k decoders of least noise on, the
+    level is log2 mu = (rate + sum_{m <= k} log2 noise_m) / k, and k grows
+    while that level tops the next decoder's noise.  Each power is formed as
+    noise_m (2^(log2 mu - log2 noise_m) - 1), which keeps its digits when
+    the level sits just above the noise.  A decoder without gain (infinite
+    noise) cannot help; with none left, or a power that overflows, P_min is
+    P0."""
+    rate = scenario.rate_floor - 2.0 * FEASIBILITY_TOLERANCE
+    if not rate > 0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        noise = np.array(scenario.sigma2)[decoders] / mats.g_id[decoders]
+    levels = sorted(v for v in noise.tolist() if v < math.inf)
+    logs = [math.log2(v) for v in levels]
+    total = 0.0
+    for k, lg in enumerate(logs, 1):
+        total += lg
+        level = (rate + total) / k
+        if k == len(logs) or level <= logs[k]:
+            break
+    else:
+        return scenario.p0
+    try:
+        least = math.fsum(v * math.expm1(LN2 * (level - lg)) for v, lg in zip(levels, logs[:k]))
+    except OverflowError:
+        return scenario.p0
+    return min(least * (1.0 - 1e-9), scenario.p0)
+
+
+def _objective_bound(
+    mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray, least_power: float
+) -> float:
+    """Bound on the objective of every `Optimal` report of schedule `mask`
+    whose decoders take at least `least_power` (`_least_decoder_power`):
+    rho_top P0 - (rho_top - rho_dec) least_power, raised by 1e-12 relative.
+
+    Rounding: the computed priorities @ y and the stored y's sum exceed their
+    exact values by at most a few n u relative (u = 2^-53), under 1e-14 for
+    n <= 20 slots, so the raised bound still covers every computed objective."""
+    rho = mats.priorities
+    top = float(rho[mask].max())
+    bound = scenario.p0 * top
+    if least_power > 0:
+        bound -= (top - float(rho[mats.n_eh :][mask[mats.n_eh :]].max())) * least_power
+    return bound * (1.0 + 1e-12)
 
 
 def exhaustive_search(
@@ -801,69 +893,110 @@ def exhaustive_search(
     Schedules without a decoder are skipped whenever the rate floor is
     positive; ties resolve to the lexicographically smallest schedule
     (slot 0 is the most significant position).  More than
-    MAX_SCHEDULE_SLOTS slots are refused.
+    MAX_SCHEDULE_SLOTS slots are refused.  Inside one search `fp_rate_max`
+    runs once per decoder subset.
 
-    The search is pruned (branch and bound, Land & Doig 1960): a schedule
-    spends at most P0 on its slots and every priority is >= 0, so its
-    objective is at most P0 max_{p in mask} rho_p.  The full schedule, the `proposed` solve, is
-    solved first and seeds the incumbent; a schedule whose bound falls
-    strictly below the incumbent is not solved, and since it would lose to
-    the final best it moves neither the answer nor the tie-break.  Inside
-    one search `fp_rate_max` runs once per decoder subset.  `iterations`
-    sums the rounds of the solved schedules.
+    The full schedule, the `proposed` solve, is solved first and seeds the
+    incumbent.  When it runs SCA rounds, it records the leftover candidate
+    of each of their Lagrangian maximizations: the free slot of best
+    positive reduced cost, which takes the leftover budget unless the
+    decoders spend it all, and bounds their price either way.  A schedule
+    that keeps every decoder, every recorded slot and a slot of the largest
+    priority repeats that solve bit for bit: it starts from the same
+    decoder-only allocation, every maximization picks the same candidate,
+    its pinned slots only add exact zeros to the same array products, and
+    its price scale P0 max rho is the same.  Such a schedule is *retraced*:
+    it takes the full schedule's report without a solve.
+
+    Every other schedule is pruned (branch and bound, Land & Doig 1960) when
+    its objective bound falls strictly below the incumbent.  With rho_top the
+    largest priority on the schedule, rho_dec the largest among its decoders
+    and P_min the least decoder power whose interference-free sum-rate
+    reaches R - 2 FEASIBILITY_TOLERANCE (`_least_decoder_power`), the
+    bound is rho_top P0 - (rho_top - rho_dec) P_min: every `Optimal` report
+    meets R - FEASIBILITY_TOLERANCE, interference only lowers a rate, so
+    the decoders take at least P_min and the other slots at most P0 - P_min.
+    P_min is lowered by 1e-9 relative and clamped to P0, and the bound raised
+    by 1e-12 relative, against rounding.  A pruned schedule would lose to the
+    final best, so it moves neither the answer nor the tie-break.
+
+    `iterations` sums the rounds of the solved and the retraced schedules; a
+    retraced schedule counts the full schedule's rounds, as if it had been
+    solved.  At debug level every schedule logs one line with its outcome
+    (the status of a solved schedule, or retraced, pruned, skipped or
+    empty), and the search logs one line with the count of each outcome.
     """
-    token = _RATE_MAX_STARTS.set({})
+    search = _Search()
+    token = _SEARCH.set(search)
     try:
-        return _exhaustive(mats, scenario, opts)
+        return _exhaustive(mats, scenario, opts, search)
     finally:
-        _RATE_MAX_STARTS.reset(token)
+        _SEARCH.reset(token)
 
 
 def _exhaustive(
-    mats: CorrelationMatrices, scenario: Scenario, opts: SolverOptions
+    mats: CorrelationMatrices, scenario: Scenario, opts: SolverOptions, search: _Search
 ) -> SolveReport:
-    n = mats.n_slots
+    n, k, floor = mats.n_slots, mats.n_eh, scenario.rate_floor
     rho = mats.priorities
     best: SolveReport | None = None
     total_iters = 0
+    counts = dict.fromkeys(("solved", "retraced", "pruned", "skipped", "empty"), 0)
     full = None  # solved first when the loop would solve it: it seeds the incumbent
-    if n and (scenario.rate_floor <= 0 or mats.n_id):
+    if n and (floor <= 0 or mats.n_id):
         full = sca_solve(mats, scenario, opts, np.ones(n, dtype=bool))
         total_iters += full.iterations
     seed = -math.inf
     if full is not None and full.status is SolveStatus.OPTIMAL:
         seed = full.objective
+    keep = None  # the slots a schedule keeps to retrace the full solve
+    if search.leftover is not None:
+        keep = np.arange(n) >= k
+        keep[list(search.leftover)] = True
+        top = rho == rho.max()
+    least = {}  # P_min per decoder subset
     for mask in _schedules(n):
         schedule = "".join("01"[b] for b in mask.tolist())
         if not mask.any():
+            counts["empty"] += 1
             log.debug("schedule %s -> empty", schedule)
-            if scenario.rate_floor <= 0:
+            if floor <= 0:
                 best = _report(mats, scenario, np.zeros(n))
             continue
-        if scenario.rate_floor > 0 and not mask[mats.n_eh :].any():
+        if floor > 0 and not mask[k:].any():
+            counts["skipped"] += 1
             log.debug("schedule %s -> skipped (no decoder under a positive floor)", schedule)
             continue
         if mask.all():
-            report = full
+            report, outcome = full, ""
+        elif keep is not None and mask[keep].all() and mask[top].any():
+            report, outcome = full, "retraced "
+            total_iters += full.iterations
         else:
-            # rounding: the computed priorities @ y and the stored y's sum
-            # exceed their exact values by at most a few n u relative
-            # (u = 2^-53), under 1e-14 for n <= 20 slots, so the bound raised
-            # by 1e-12 still covers every computed objective of the schedule
-            bound = scenario.p0 * float(rho[mask].max()) * (1.0 + 1e-12)
+            key = mask[k:].tobytes()
+            if key not in least:
+                least[key] = _least_decoder_power(mats, scenario, mask[k:])
+            bound = _objective_bound(mats, scenario, mask, least[key])
             bar = seed if best is None else max(seed, best.objective)
             if bound < bar:
+                counts["pruned"] += 1
                 log.debug("schedule %s -> pruned bound=%s incumbent=%s", schedule, bound, bar)
                 continue
-            report = sca_solve(mats, scenario, opts, mask)
+            report, outcome = sca_solve(mats, scenario, opts, mask), ""
             total_iters += report.iterations
+        counts["retraced" if outcome else "solved"] += 1
         log.debug(
-            "schedule %s -> %s objective=%s", schedule, report.status.value, report.objective
+            "schedule %s -> %s%s objective=%s",
+            schedule,
+            outcome,
+            report.status.value,
+            report.objective,
         )
         if report.status is not SolveStatus.OPTIMAL:
             continue
         if best is None or report.objective > best.objective:
             best = report
+    log.debug("exhaustive schedules=%d %s", 2**n, " ".join(f"{o}={c}" for o, c in counts.items()))
     if best is None:
         return _infeasible_report(mats)
     return replace(best, iterations=total_iters)

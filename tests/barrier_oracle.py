@@ -154,16 +154,14 @@ def barrier_maximize(red: _Reduced, model: BoundModel, x0: np.ndarray) -> np.nda
         t *= BARRIER_MU
 
 
-def barrier_round(y, mats, scenario, mask=None):
-    """One round expanded at allocation y, solved by the barrier: returns
-    (full allocation vector, bound model) or raises NoFeasibleInterior like
+def barrier_round(y, mats, scenario):
+    """One round of the full schedule expanded at allocation y, solved by the
+    barrier: returns (allocation, bound model) or raises NoFeasibleInterior like
     `inner_convex`, also where a decoder has no power at y (an infinite slack;
     the bound there evaluated to NaN, so the interior search never succeeded)."""
-    mask = np.ones(mats.n_slots, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    red = _Reduced(mats, scenario, mask)
+    red = _Reduced(mats, scenario)
     with np.errstate(divide="ignore"):
-        model = BoundModel(red, np.asarray(y, dtype=float)[red.idx])
+        model = BoundModel(red, np.asarray(y, dtype=float))
     if not (np.isfinite(model.s_tilde).all() and np.isfinite(model.i_tilde).all()):
         raise NoFeasibleInterior("a decoder has no power at the expansion point")
-    x = barrier_maximize(red, model, interior_start(red, model))
-    return red.embed(x), model
+    return barrier_maximize(red, model, interior_start(red, model)), model

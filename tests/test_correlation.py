@@ -461,3 +461,14 @@ class TestEhPriority:
         masked[2, 2] = 0.0
         mats = self._mats_from(masked, np.array([2.0, 2.0, 0.0]))
         assert np.argmax(mats.priorities) == 0
+
+    def test_computed_once_per_instance(self):
+        masked = np.eye(3)
+        masked[2, 2] = 0.0
+        masked[0, 2] = masked[2, 0] = 0.3
+        mats = self._mats_from(masked, np.array([2.0, 1.0, 0.0]))
+        rho = mats.priorities
+        assert mats.priorities is rho  # cached on the instance, not recomputed
+        assert rho.tobytes() == (mats.c_eh @ mats.lambda_masked).tobytes()
+        with pytest.raises(ValueError):  # shared by every caller, so read-only
+            rho[0] = 0.0

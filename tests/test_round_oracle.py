@@ -102,10 +102,9 @@ def test_exact_round_agrees_with_barrier(
     if isinstance(oracle, NoFeasibleInterior) or isinstance(exact, NoFeasibleInterior):
         assert type(exact) is type(oracle), f"exact {exact!r}, barrier {oracle!r}"
         return
-    x = exact[model.red.idx]
     assert (exact >= 0).all()
     assert exact.sum() <= p0 * (1 + 1e-12)
-    assert model.value(x) >= scn.rate_floor - 1e-9
+    assert model.value(exact) >= scn.rate_floor - 1e-9
     got, want = objective(mats, exact), objective(mats, oracle)
     assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -118,7 +117,7 @@ def test_exact_round_agrees_with_barrier(
     warm = inner_convex(y, mats, scn, stats=stats, rate_price=price).powers
     assert inner_convex(y, mats, scn, red=red, rate_price=price).powers.tobytes() == warm.tobytes()
     assert inner_convex(y, mats, scn, red=red).powers.tobytes() == exact.tobytes()
-    assert model.value(warm[red.idx]) >= scn.rate_floor - 1e-9
+    assert model.value(warm) >= scn.rate_floor - 1e-9
     assert abs(objective(mats, warm) - got) <= 1e-12 * scale
     assert stats["rate_price"] >= 0 and stats["bound_slack"] >= 0
 
@@ -177,7 +176,9 @@ def bound_models(draw, decoders):
         u, v = rng.choice(n, 2, replace=False)
         brow[:, v] = brow[:, u]
         w[v] = w[u]
-    red = SimpleNamespace(n=n, pos=pos, gain=gain, brow=brow, sigma2=np.full(m, 1e-11))
+    red = SimpleNamespace(
+        mask=np.ones(n, dtype=bool), pos=pos, gain=gain, brow=brow, sigma2=np.full(m, 1e-11)
+    )
     with np.errstate(over="ignore"):
         model = _BoundModel(red, s, i)
     # rate prices around the one where interference costs match the weights
@@ -275,7 +276,7 @@ def test_warm_started_round_agrees_with_cold_start(case, at_jump, offset):
         return
     scale = float(np.abs(w_round).max()) * p0
     warm = _solve_round(model, w, floor, p0, scale * math.exp(offset))
-    for x, evals, price, slack in (cold, warm):
+    for x, evals, price, slack, _ in (cold, warm):
         assert (x >= 0).all() and x.sum() <= p0 * (1 + 1e-12)
         assert model.value(x) >= floor - 1e-9 * max(1.0, abs(floor))
         assert math.isfinite(price) and price >= 0 and slack >= 0

@@ -33,7 +33,13 @@ from mfswipt import (
     sum_rate,
     weighted_sum_power,
 )
-from mfswipt.solvers import FEASIBILITY_TOLERANCE, _Reduced, _schedules
+from mfswipt.solvers import (
+    FEASIBILITY_TOLERANCE,
+    _least_decoder_power,
+    _objective_bound,
+    _Reduced,
+    _schedules,
+)
 
 TIGHT = SolverOptions(convergence_threshold=1e-6)
 
@@ -488,12 +494,12 @@ class TestExhaustiveSearch:
 
 
 def brute_force(mats, scn):
-    """`exhaustive_search` without pruning or shared starts: `sca_solve` on
-    every schedule that has a slot (and a decoder under a positive floor).
-    Returns the first strict maximum as (objective, allocation), or None when
-    no schedule is feasible (the empty schedule scores 0 without a floor),
-    and each solved schedule's outcome as its debug line words it."""
-    best, outcomes = None, {}
+    """`exhaustive_search` without pruning, retracing or shared starts:
+    `sca_solve` on every schedule that has a slot (and a decoder under a
+    positive floor).  Returns the first strict maximum as (objective,
+    allocation), or None when no schedule is feasible (the empty schedule
+    scores 0 without a floor), and each solved schedule's report by its bits."""
+    best, reports = None, {}
     for mask in _schedules(mats.n_slots):
         if not mask.any():
             if scn.rate_floor <= 0:
@@ -502,40 +508,72 @@ def brute_force(mats, scn):
         if scn.rate_floor > 0 and not mask[mats.n_eh :].any():
             continue
         report = sca_solve(mats, scn, mask=mask)
-        bits = "".join("01"[b] for b in mask.tolist())
-        outcomes[bits] = (report.status.value, report.objective)
+        reports["".join("01"[b] for b in mask.tolist())] = report
         if report.status is SolveStatus.OPTIMAL and (best is None or report.objective > best[0]):
             best = (report.objective, report.allocation.powers)
-    return best, outcomes
+    return best, reports
 
 
-class ScheduleLines(logging.Handler):
-    """Collects `exhaustive_search`'s per-schedule debug lines."""
+def report_bits(report):
+    """Status, objective, allocation, trace and iterations, floats as bits."""
+    return (
+        report.status,
+        float(report.objective).hex(),
+        report.allocation.powers.tobytes(),
+        [float(v).hex() for v in report.trace],
+        report.iterations,
+    )
+
+
+class SearchLines(logging.Handler):
+    """Collects `exhaustive_search`'s debug lines: one per schedule, and the
+    search's count line."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.lines = []
+        self.lines, self.counts = [], []
 
     def emit(self, record):
-        if record.getMessage().startswith("schedule "):
-            self.lines.append(record.getMessage())
+        message = record.getMessage()
+        if message.startswith("schedule "):
+            self.lines.append(message)
+        elif message.startswith("exhaustive "):
+            self.counts.append(message)
+
+
+def logged_search(mats, scn):
+    """`exhaustive_search`'s report and its debug lines."""
+    logger = logging.getLogger("mfswipt.solvers")
+    handler, level = SearchLines(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return exhaustive_search(mats, scn), handler
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 PRUNE_CFG = ArrayConfig(n_antennas=256, carrier_freq=30e9)
 PRUNE_Z = rayleigh_distance(PRUNE_CFG)
 
 
+FLOORS = ("zero", "drawn", "below_edge", "above_edge", "above")
+
+
 @st.composite
-def pruning_cases(draw):
+def pruning_cases(draw, k=st.integers(0, 4), m=st.integers(1, 3), floors=FLOORS):
     """K = 0-4 harvesters at 0.015-0.3 Z, M = 1-3 decoders at 1.05-1.3 Z,
     P0 20-44 dBm, and a floor of 0, a drawn 5-95% of the deployment's
-    maximum sum-rate r*, or 0.5 bps/Hz above r*."""
+    maximum sum-rate r*, r* - 5e-8 or r* + 5e-8 (where the decoder-only
+    start is `Optimal` within FEASIBILITY_TOLERANCE of the floor), or 0.5
+    bps/Hz above r*."""
 
     def rx(lo, hi):
         theta = draw(st.floats(-0.8, 0.8))
         return Receiver(PolarLocation(theta, draw(st.floats(lo, hi)) * PRUNE_Z))
 
-    k, m = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    k, m = draw(k), draw(m)
     scn = Scenario(
         eh_receivers=tuple(rx(0.015, 0.3) for _ in range(k)),
         id_receivers=tuple(rx(1.05, 1.3) for _ in range(m)),
@@ -544,11 +582,15 @@ def pruning_cases(draw):
         rate_floor=0.0,
     )
     mats = build_matrices(PRUNE_CFG, scn)
-    floor = draw(st.sampled_from(["zero", "drawn", "above"]))
+    floor = draw(st.sampled_from(floors))
     if floor != "zero":
         r_star = fp_rate_max(mats, scn).r_star
-        share = draw(st.floats(0.05, 0.95))
-        rate_floor = share * r_star if floor == "drawn" else r_star + 0.5
+        rate_floor = {
+            "drawn": draw(st.floats(0.05, 0.95)) * r_star,
+            "below_edge": r_star - 5e-8,
+            "above_edge": r_star + 5e-8,
+            "above": r_star + 0.5,
+        }[floor]
         scn = dataclasses.replace(scn, rate_floor=rate_floor)
     return mats, scn
 
@@ -557,16 +599,8 @@ def pruning_cases(draw):
 @given(pruning_cases())
 def test_pruning_changes_no_answer(case):
     mats, scn = case
-    logger = logging.getLogger("mfswipt.solvers")
-    handler, level = ScheduleLines(), logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
-    try:
-        got = exhaustive_search(mats, scn)
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-    want, outcomes = brute_force(mats, scn)
+    got, logged = logged_search(mats, scn)
+    want, reports = brute_force(mats, scn)
     if want is None:
         assert got.status is SolveStatus.INFEASIBLE
         assert not got.allocation.powers.any()
@@ -575,16 +609,214 @@ def test_pruning_changes_no_answer(case):
         assert float(got.objective).hex() == float(want[0]).hex()
         assert got.allocation.powers.tobytes() == want[1].tobytes()
     # every schedule solved inside the search (with shared decoder-only
-    # starts) reports as it does alone; every pruned one loses strictly
-    assert len(handler.lines) == 2**mats.n_slots
-    for line in handler.lines:
+    # starts) reports as it does alone; every retraced one takes the full
+    # schedule's report, which is bit for bit what it gives alone; every
+    # pruned one loses strictly
+    assert len(logged.lines) == 2**mats.n_slots
+    outcomes = {}
+    for line in logged.lines:
         bits, outcome = re.match(r"schedule (\d+) -> (\S+)", line).groups()
+        report = reports.get(bits)
         if outcome == "pruned":
-            status, objective = outcomes[bits]
-            assert status != "Optimal" or objective < got.objective
+            assert report.status is not SolveStatus.OPTIMAL or report.objective < got.objective
+        elif outcome == "retraced":
+            assert report_bits(report) == report_bits(reports["1" * mats.n_slots])
+            assert line.endswith(f"-> retraced {report.status.value} objective={report.objective}")
         elif outcome not in ("empty", "skipped"):
-            status, objective = outcomes[bits]
-            assert line.endswith(f"-> {status} objective={objective}")
+            assert line.endswith(f"-> {report.status.value} objective={report.objective}")
+            outcome = "solved"
+        outcomes.setdefault(outcome, []).append(bits)
+    kinds = ("solved", "retraced", "pruned", "skipped", "empty")
+    counts = {o: len(outcomes.get(o, ())) for o in kinds}
+    assert logged.counts == [
+        f"exhaustive schedules={2**mats.n_slots} " + " ".join(f"{o}={c}" for o, c in counts.items())
+    ]
+    # `iterations` counts the rounds of the solved and the retraced schedules
+    if want is not None:
+        spent = outcomes.get("solved", []) + outcomes.get("retraced", [])
+        assert got.iterations == sum(reports[bits].iterations for bits in spent)
+
+
+def least_power_by_active_sets(noise, rate):
+    """Least total power whose interference-free sum-rate
+    sum_m log2(1 + p_m / noise_m) reaches `rate`, by brute force over the
+    decoders that take power: each subset S with a common water level mu,
+    log2 mu = (rate + sum_S log2 noise_m) / |S|, at or above every noise in S
+    is a feasible allocation of power sum_S (mu - noise_m), and the optimum's
+    own subset is one of them."""
+    best = math.inf
+    finite = [v for v in noise if v < math.inf]
+    for size in range(1, len(finite) + 1):
+        for subset in itertools.combinations(finite, size):
+            level = 2.0 ** ((rate + sum(math.log2(v) for v in subset)) / size)
+            if all(level >= v for v in subset):
+                best = min(best, sum(level - v for v in subset))
+    return best
+
+
+def least_power_on_rate_grid(noise, rate, steps=200):
+    """The same minimum over a grid of rate splits r_m >= 0, sum_m r_m = rate,
+    each decoder then taking noise_m (2^r_m - 1)."""
+    head = np.zeros((1, 0))
+    if len(noise) > 1:
+        head = itertools.product(range(steps + 1), repeat=len(noise) - 1)
+        head = np.array(list(head), dtype=float)
+    shares = np.column_stack([head, steps - head.sum(axis=1)])
+    r = rate * shares[shares[:, -1] >= 0] / steps
+    return float((np.array(noise) * np.expm1(np.log(2.0) * r)).sum(axis=1).min())
+
+
+@settings(max_examples=40)
+@given(pruning_cases())
+def test_objective_bound_covers_every_report(case):
+    # the prune's bound on every schedule: at most the budget bound it
+    # refines, at least every `Optimal` report of the schedule, and at least
+    # the computed objective of the relaxation's own best (the decoders at
+    # the least interference-free power for R - FEASIBILITY_TOLERANCE, which
+    # every report meets, the rest of a budget over by rounding on the
+    # top-priority slot); its P_min equals a brute-force minimum
+    mats, scn = case
+    k, p0 = mats.n_eh, scn.p0
+    rho = mats.priorities
+    noise = np.array(scn.sigma2) / mats.g_id
+    rate = scn.rate_floor - 2.0 * FEASIBILITY_TOLERANCE
+    for mask in _schedules(mats.n_slots):
+        decoders = mask[k:]
+        if not mask.any() or (scn.rate_floor > 0 and not decoders.any()):
+            continue
+        least = _least_decoder_power(mats, scn, decoders)
+        if rate > 0:
+            want = least_power_by_active_sets(noise[decoders].tolist(), rate)
+            grid = least_power_on_rate_grid(noise[decoders].tolist(), rate)
+            assert want <= grid * (1 + 1e-12) and grid <= want * (1 + 1e-2)
+            assert least == pytest.approx(min(want * (1 - 1e-9), p0), rel=1e-10)
+        else:
+            assert least == 0.0
+        bound = _objective_bound(mats, scn, mask, least)
+        top = float(rho[mask].max())
+        assert bound <= p0 * top * (1 + 1e-12)
+
+        report = sca_solve(mats, scn, mask=mask)
+        if report.status is SolveStatus.OPTIMAL:
+            assert report.objective <= bound
+        met = scn.rate_floor - FEASIBILITY_TOLERANCE
+        need = least_power_by_active_sets(noise[decoders].tolist(), met) if met > 0 else 0.0
+        if need <= p0:
+            dec = float(rho[k:][decoders].max()) if decoders.any() else 0.0
+            assert (top * (p0 - need) + dec * need) * (1 + 2.0**-50) <= bound
+
+
+@settings(max_examples=25)
+@given(
+    pruning_cases(k=st.integers(1, 3), m=st.integers(2, 3), floors=("drawn",)),
+    st.integers(0, 2**32 - 1),
+)
+def test_masked_solve_ignores_couplings_of_switched_off_slots(case, seed):
+    # every solve runs on all K+M slots; a switched-off slot stays at 0 W, so
+    # its couplings into the active decoders' interference rows move no bit
+    mats, scn = case
+    k = mats.n_eh
+    rng = np.random.default_rng(seed)
+    for mask in _schedules(mats.n_slots):
+        decoders = k + np.flatnonzero(mask[k:])
+        if len(decoders) < 2 or mask.all():
+            continue
+        lam = mats.lambda_masked.copy()
+        off = np.flatnonzero(~mask)
+        lam[np.ix_(decoders, off)] = rng.uniform(0.0, 1.0, (len(decoders), len(off)))
+        moved = dataclasses.replace(mats, lambda_masked=lam)
+        # decoder rows carry no harvesting weight, so the priorities stay put
+        assert moved.priorities.tobytes() == mats.priorities.tobytes()
+        want = sca_solve(mats, scn, mask=mask)
+        assert report_bits(sca_solve(moved, scn, mask=mask)) == report_bits(want)
+
+
+# drawn deployments ([theta, r / Z] per receiver, P0 in dBm, floor R, None
+# for r* - 5e-8) on which a schedule that keeps every decoder ends off the
+# full schedule's report, although it drops only one slot the retrace rule
+# asks for
+RETRACE_CASES = {
+    # harvester 0 has the top priority, but only harvester 1 is ever the
+    # leftover candidate: 0111 lacks the top-priority slot and starts its
+    # price search elsewhere, 1011 lacks the recorded candidate
+    "top_never_takes_leftover": (
+        [[0.13842734062170015, 0.11124174541084872], [-0.6567699392990296, 0.11452386099760099]],
+        [[0.24480152360761176, 1.0964946030547804], [0.14749126728108908, 1.2780273219398683]],
+        28.76798882889927,
+        7.306846769982733,
+        ("0111", "1011"),
+    ),
+    # the decoders fill the budget at every maximization, so no slot ever
+    # takes a leftover, yet candidate harvester 1's reduced cost bounds their
+    # price
+    "candidate_without_budget": (
+        [
+            [-0.6088047392739917, 0.14377429575681044],
+            [0.048465906237189715, 0.09011665671618628],
+            [0.16719652799966167, 0.18498335790318093],
+            [0.35175829761319943, 0.08025273133495385],
+        ],
+        [
+            [0.35204783750220914, 1.2219359904883251],
+            [-0.546563896014278, 1.174266608479979],
+            [0.1817024552427846, 1.179183412244626],
+        ],
+        26.948218208957226,
+        None,
+        ("1011111",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RETRACE_CASES)
+def test_retrace_needs_every_condition(name):
+    eh, idr, p0_dbm, rate_floor, schedules = RETRACE_CASES[name]
+
+    def rx(pair):
+        return Receiver(PolarLocation(pair[0], pair[1] * PRUNE_Z))
+
+    scn = Scenario(
+        eh_receivers=tuple(rx(p) for p in eh),
+        id_receivers=tuple(rx(p) for p in idr),
+        sigma2=(dbm_to_watts(-80.0),) * len(idr),
+        p0=dbm_to_watts(p0_dbm),
+        rate_floor=0.0,
+    )
+    mats = build_matrices(PRUNE_CFG, scn)
+    if rate_floor is None:
+        rate_floor = fp_rate_max(mats, scn).r_star - 5e-8
+    scn = dataclasses.replace(scn, rate_floor=rate_floor)
+    full = sca_solve(mats, scn)
+    assert full.iterations > 0
+    _, logged = logged_search(mats, scn)
+    outcome = dict(re.match(r"schedule (\d+) -> (\S+)", line).groups() for line in logged.lines)
+    for bits in schedules:
+        alone = sca_solve(mats, scn, mask=np.array([b == "1" for b in bits]))
+        assert report_bits(alone) != report_bits(full)
+        assert outcome[bits] != "retraced"
+
+
+def test_search_counts_each_outcome_on_bundled_scenario(reference_setup):
+    # at 20 dBm the full schedule records only harvester 0 as its leftover
+    # candidate, and the three schedules that keep it and both decoders
+    # (harvester 0 has the top priority) retrace the full solve
+    cfg, scn, _ = reference_setup
+    scn = dataclasses.replace(scn, p0=dbm_to_watts(20.0))
+    mats = build_matrices(cfg, scn)
+    got, logged = logged_search(mats, scn)
+    assert logged.counts == [
+        "exhaustive schedules=32 solved=1 retraced=3 pruned=20 skipped=7 empty=1"
+    ]
+    retraced = [line.split()[1] for line in logged.lines if "-> retraced " in line]
+    assert retraced == ["10011", "10111", "11011"]
+    full = sca_solve(mats, scn)
+    for bits in retraced:
+        mask = np.array([b == "1" for b in bits])
+        assert report_bits(sca_solve(mats, scn, mask=mask)) == report_bits(full)
+    # the full schedule is solved once and retraced three times
+    assert report_bits(got) == report_bits(
+        dataclasses.replace(full, iterations=4 * full.iterations)
+    )
 
 
 class TestEdgeCases:
