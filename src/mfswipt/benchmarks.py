@@ -18,7 +18,6 @@ import numpy as np
 
 from .correlation import CorrelationMatrices, build_matrices
 from .geometry import ArrayConfig, PolarLocation, aod_to_spatial_angle, rayleigh_distance
-from .metrics import sum_rate
 from .scenario import Receiver, Scenario, dbm_to_watts, watts_to_dbm
 from .solvers import (
     SolveReport,
@@ -65,7 +64,7 @@ def _equal_split_report(
     if incumbent is not None and not _objective(mats, y) > incumbent:
         return None
     report = _report(mats, scenario, y)
-    return report if report.residuals["rate_slack"] >= -1e-9 else None
+    return report if report.residuals["sum_rate"] - scenario.rate_floor >= -1e-9 else None
 
 
 def run_scheme(
@@ -143,10 +142,14 @@ class SweepSpec:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be non-empty")
-        if list(self.grid) != sorted(self.grid):
-            raise ValueError("sweep grid must be sorted")
         if self.variable in {"K", "M"} and not all(float(v).is_integer() for v in self.grid):
             raise ValueError(f"{self.variable} grid values must be whole numbers, got {self.grid}")
+        if not all(math.isfinite(v) for v in self.grid):  # NaN would defeat the sort check
+            raise ValueError(f"sweep grid values must be finite, got {self.grid}")
+        if list(self.grid) != sorted(self.grid):
+            raise ValueError("sweep grid must be sorted")
+        if self.seed < 0:
+            raise ValueError(f"sweep seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,6 @@ class ResultRow:
         sweep_value: float,
         scheme: str,
         outcome: SolveReport | Exception,
-        mats: CorrelationMatrices | None = None,
         scenario: Scenario | None = None,
         wall_ms: float | None = None,
         seed: int = 0,
@@ -178,8 +180,9 @@ class ResultRow:
         """The CSV row of one run: its report, or the exception it raised.
 
         The objective, sum-rate and schedule cells are filled only for an
-        Optimal report, evaluated on its allocation with `mats` and
-        `scenario`; every other row leaves them empty.
+        Optimal report: its objective, its residuals["sum_rate"], and the
+        slots its allocation schedules under `scenario`'s budget; every
+        other row leaves them empty.
         """
         if isinstance(outcome, Exception):
             status, iterations = f"Error: {outcome}", 0
@@ -189,7 +192,7 @@ class ResultRow:
         if status == SolveStatus.OPTIMAL.value:
             y = outcome.allocation
             obj = outcome.objective
-            rate = sum_rate(mats, scenario.sigma2, y)
+            rate = outcome.residuals["sum_rate"]
             mask = "".join("01"[b] for b in y.scheduled_mask(scenario.p0).tolist())
         return cls(
             sweep_var=sweep_var,
@@ -288,7 +291,6 @@ def run_sweep(
                     value,
                     scheme.value,
                     outcome,
-                    mats,
                     scenario,
                     wall if spec.record_timing else None,
                     spec.seed,

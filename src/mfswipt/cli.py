@@ -140,7 +140,7 @@ def _cmd_solve(args) -> int:
     report = run_scheme(scheme, mats, scn, opts)
     wall = (time.perf_counter() - start) * 1e3
     row = ResultRow.from_report(
-        "none", math.nan, scheme.value, report, mats, scn, wall if args.timing else None
+        "none", math.nan, scheme.value, report, scn, wall if args.timing else None
     )
     alloc_str = " ".join(f"{p:.9e}" for p in report.allocation.powers)
     _write_rows(

@@ -66,8 +66,18 @@ def id_rate(mats: CorrelationMatrices, sigma2, y, m: int) -> float:
     return float(np.log2(1.0 + signal / (interference + s2[m])))
 
 
+def _ordered_sum(values) -> float:
+    """Left-to-right sum from 0.0, which is how numpy sums fewer than 8
+    elements; Python's builtin sum compensates rounding from 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def sum_rate(mats: CorrelationMatrices, sigma2, y) -> float:
-    return float(sum(id_rate(mats, sigma2, y, m) for m in range(mats.n_id)))
+    """Sum of the decoders' rates, added left to right on every Python."""
+    return _ordered_sum(id_rate(mats, sigma2, y, m) for m in range(mats.n_id))
 
 
 def eh_power(mats: CorrelationMatrices, y, k: int) -> float:

@@ -33,14 +33,16 @@ Solvers provided:
   vertices, with no rounds.
 * `exhaustive_search` - brute force over all 2^(K+M) schedules, the
   benchmark oracle.  A schedule that provably repeats the full schedule's
-  solve takes its report, a schedule whose objective bound (from the
-  interference-free power its decoders need) cannot beat the incumbent is
-  skipped, and `fp_rate_max` runs once per decoder subset.
+  solve (by that report's `leftover`) takes its report, a schedule whose
+  objective bound (from the interference-free power its decoders need)
+  cannot beat the incumbent is skipped, and `fp_rate_max` runs once per
+  decoder subset.
 
 Every solver accepts an optional boolean `mask` pinning the complementary
 slots to zero power; unscheduled harvesters still collect leakage in the
-objective.  All routines are deterministic.  A `SolveReport` carries no
-label; the comparison harness in `benchmarks` names its runs.
+objective.  All routines are deterministic.  A solve writes nothing outside
+the `SolveReport` it returns; the report carries no label, as the
+comparison harness in `benchmarks` names its runs.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ import logging
 import math
 import numbers
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .correlation import CorrelationMatrices
-from .metrics import PowerAllocation, sum_rate
+from .metrics import PowerAllocation, _ordered_sum, sum_rate
 from .scenario import Scenario
 
 __all__ = [
@@ -108,12 +110,23 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Everything one solve produces.
+
+    `residuals` holds "sum_rate", the sum-rate of the allocation (bps/Hz), on
+    every report with an allocation, and "r_star", the schedule's maximum
+    sum-rate, on an `Infeasible` report that knows it.  `leftover` is the set
+    of slots that were a leftover candidate (see `_lagrangian_argmax`) in
+    any SCA round, and None where the SCA loop did not run: the LP path, an
+    unmet floor, and the equal-power baselines.
+    """
+
     allocation: PowerAllocation
     objective: float
     trace: tuple
     status: SolveStatus
     residuals: dict
     iterations: int
+    leftover: frozenset | None = None
 
 
 @dataclass(frozen=True)
@@ -207,21 +220,19 @@ def _report(
     status: SolveStatus = SolveStatus.OPTIMAL,
     trace: tuple | None = None,
     iterations: int = 0,
+    leftover: frozenset | None = None,
 ) -> SolveReport:
-    """Report of allocation y: its objective, and its rate and budget residuals
-    measured on y itself.  The trace defaults to the objective alone."""
+    """Report of allocation y: its objective, and its sum-rate measured on y
+    itself.  The trace defaults to the objective alone."""
     obj = _objective(mats, y)
-    residuals = {
-        "rate_slack": sum_rate(mats, scenario.sigma2, y) - scenario.rate_floor,
-        "power_slack": scenario.p0 - float(y.sum()),
-    }
     return SolveReport(
         allocation=PowerAllocation(y),
         objective=obj,
         trace=(obj,) if trace is None else tuple(trace),
         status=status,
-        residuals=residuals,
+        residuals={"sum_rate": sum_rate(mats, scenario.sigma2, y)},
         iterations=iterations,
+        leftover=leftover,
     )
 
 
@@ -413,15 +424,6 @@ class _BoundModel:
             v = xs[q]
             inverse += a / v if v else math.inf
         return self.const - inverse - float(self.c_vec @ x)
-
-
-def _ordered_sum(values) -> float:
-    """Left-to-right sum from 0.0, which is how numpy sums fewer than 8
-    elements; Python's builtin sum compensates rounding from 3.12 on."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
@@ -723,35 +725,23 @@ def _lp_report(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray) 
     return _report(mats, scenario, y)
 
 
-@dataclass
-class _Search:
-    """What the running `exhaustive_search` shares between the solves it
-    makes: the decoder-only start of each decoder subset (`starts`, keyed by
-    the subset's bits), and the leftover candidates of every round of the
-    full schedule's solve (`leftover`, None until that solve has run its
-    rounds)."""
-
-    starts: dict = field(default_factory=dict)
-    leftover: set | None = None
-
-
-# the scope of the running `exhaustive_search`; None outside a search.  A
-# context variable, so `sca_solve` keeps its signature and each thread sees
-# only its own search
-_SEARCH: ContextVar[_Search | None] = ContextVar("search", default=None)
+# the decoder-only starts of the running `exhaustive_search`, keyed by the
+# decoder subset's bits; None outside a search.  A context variable, so
+# `sca_solve` keeps its signature and each thread sees only its own search
+_STARTS: ContextVar[dict | None] = ContextVar("starts", default=None)
 
 
 def _rate_max_start(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray):
     """`fp_rate_max` on the schedule's decoders.  It reads only mask & decoders,
     so inside `exhaustive_search` every subset is solved once and its result
     shared by the schedules that keep those decoders."""
-    search = _SEARCH.get()
-    if search is None:
+    starts = _STARTS.get()
+    if starts is None:
         return fp_rate_max(mats, scenario, mask)
     key = mask[mats.n_eh :].tobytes()
-    if key not in search.starts:
-        search.starts[key] = fp_rate_max(mats, scenario, mask)
-    return search.starts[key]
+    if key not in starts:
+        starts[key] = fp_rate_max(mats, scenario, mask)
+    return starts[key]
 
 
 def sca_solve(
@@ -774,8 +764,8 @@ def sca_solve(
     Every round works on all K+M slots, a schedule only removing slots from
     those that may take power, so pinning a slot that was never a leftover
     candidate (see `_lagrangian_argmax`) leaves the iterates as they were.
-    Inside `exhaustive_search` the full schedule's solve records its
-    candidates for the search (see there).
+    The report's `leftover` holds the candidates of every round, which
+    `exhaustive_search` reads from the full schedule's report (see there).
     """
     mask = _full_mask(mats, mask)
     if scenario.rate_floor <= 0 or np.count_nonzero(mask[mats.n_eh :]) <= 1:
@@ -817,11 +807,7 @@ def sca_solve(
         if trace[-1] - trace[-2] < opts.convergence_threshold * max(abs(trace[-2]), 1e-300):
             status = SolveStatus.OPTIMAL
             break
-
-    search = _SEARCH.get()
-    if search is not None and mask.all():
-        search.leftover = leftover
-    return _report(mats, scenario, y, status, trace, iterations)
+    return _report(mats, scenario, y, status, trace, iterations, frozenset(leftover))
 
 
 # ---------------------------------------------------------------------------
@@ -897,16 +883,16 @@ def exhaustive_search(
     runs once per decoder subset.
 
     The full schedule, the `proposed` solve, is solved first and seeds the
-    incumbent.  When it runs SCA rounds, it records the leftover candidate
-    of each of their Lagrangian maximizations: the free slot of best
-    positive reduced cost, which takes the leftover budget unless the
-    decoders spend it all, and bounds their price either way.  A schedule
-    that keeps every decoder, every recorded slot and a slot of the largest
-    priority repeats that solve bit for bit: it starts from the same
-    decoder-only allocation, every maximization picks the same candidate,
-    its pinned slots only add exact zeros to the same array products, and
-    its price scale P0 max rho is the same.  Such a schedule is *retraced*:
-    it takes the full schedule's report without a solve.
+    incumbent.  When it runs SCA rounds, its report's `leftover` holds the
+    leftover candidate of each of their Lagrangian maximizations: the free
+    slot of best positive reduced cost, which takes the leftover budget
+    unless the decoders spend it all, and bounds their price either way.  A
+    schedule that keeps every decoder, every slot of `leftover` and a slot
+    of the largest priority repeats that solve bit for bit: it starts from
+    the same decoder-only allocation, every maximization picks the same
+    candidate, its pinned slots only add exact zeros to the same array
+    products, and its price scale P0 max rho is the same.  Such a schedule
+    is *retraced*: it takes the full schedule's report without a solve.
 
     Every other schedule is pruned (branch and bound, Land & Doig 1960) when
     its objective bound falls strictly below the incumbent.  With rho_top the
@@ -926,17 +912,14 @@ def exhaustive_search(
     (the status of a solved schedule, or retraced, pruned, skipped or
     empty), and the search logs one line with the count of each outcome.
     """
-    search = _Search()
-    token = _SEARCH.set(search)
+    token = _STARTS.set({})
     try:
-        return _exhaustive(mats, scenario, opts, search)
+        return _exhaustive(mats, scenario, opts)
     finally:
-        _SEARCH.reset(token)
+        _STARTS.reset(token)
 
 
-def _exhaustive(
-    mats: CorrelationMatrices, scenario: Scenario, opts: SolverOptions, search: _Search
-) -> SolveReport:
+def _exhaustive(mats: CorrelationMatrices, scenario: Scenario, opts: SolverOptions) -> SolveReport:
     n, k, floor = mats.n_slots, mats.n_eh, scenario.rate_floor
     rho = mats.priorities
     best: SolveReport | None = None
@@ -944,15 +927,15 @@ def _exhaustive(
     counts = dict.fromkeys(("solved", "retraced", "pruned", "skipped", "empty"), 0)
     full = None  # solved first when the loop would solve it: it seeds the incumbent
     if n and (floor <= 0 or mats.n_id):
-        full = sca_solve(mats, scenario, opts, np.ones(n, dtype=bool))
+        full = sca_solve(mats, scenario, opts)
         total_iters += full.iterations
     seed = -math.inf
     if full is not None and full.status is SolveStatus.OPTIMAL:
         seed = full.objective
     keep = None  # the slots a schedule keeps to retrace the full solve
-    if search.leftover is not None:
+    if full is not None and full.leftover is not None:
         keep = np.arange(n) >= k
-        keep[list(search.leftover)] = True
+        keep[list(full.leftover)] = True
         top = rho == rho.max()
     least = {}  # P_min per decoder subset
     for mask in _schedules(n):

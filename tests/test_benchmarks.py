@@ -226,3 +226,18 @@ class TestRunSweep:
             SweepSpec(variable=variable, grid=(math.nan,))
         assert SweepSpec(variable=variable, grid=(3, 4.0)).grid == (3, 4.0)
         assert SweepSpec(variable="R", grid=(3.5,)).grid == (3.5,)
+
+    @pytest.mark.parametrize("variable", ["R", "P0_dBm"])
+    @pytest.mark.parametrize(
+        "grid", [(math.nan,), (5.0, math.nan, 1.0), (math.inf,), (-math.inf, 20.0)]
+    )
+    def test_grid_values_must_be_finite(self, variable, grid):
+        # NaN compares false either way, so it passed the sortedness check
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(variable=variable, grid=grid)
+
+    @pytest.mark.parametrize("variable", ["P0_dBm", "R", "K", "M"])
+    def test_negative_seed_refused(self, variable):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SweepSpec(variable=variable, grid=(3.0,), seed=-1)
+        assert SweepSpec(variable=variable, grid=(3.0,), seed=0).seed == 0

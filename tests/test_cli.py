@@ -16,8 +16,8 @@ import pytest
 import yaml
 
 import mfswipt
-from mfswipt import bundled_scenario_path
-from mfswipt.benchmarks import ResultRow
+from mfswipt import SolverOptions, SolveStatus, bundled_scenario_path, sum_rate
+from mfswipt.benchmarks import ResultRow, SchemeId, run_scheme
 from mfswipt.cli import (
     CSV_COLUMNS,
     EXIT_BAD_INPUT,
@@ -199,6 +199,19 @@ class TestSolve:
         alloc = [float(v) for v in text.rsplit("allocation_W:", 1)[1].split()]
         assert len(alloc) == 5 and sum(alloc) <= 1.0 + 1e-7
 
+    @pytest.mark.parametrize("scheme", [s.value for s in SchemeId])
+    def test_row_sum_rate_is_the_reports(self, tmp_path, reference_setup, scheme):
+        # the report's sum-rate is that of its allocation, and the row prints it
+        _, scn, mats = reference_setup
+        report = run_scheme(SchemeId(scheme), mats, scn, SolverOptions(**scn.solver_overrides))
+        assert report.status is SolveStatus.OPTIMAL
+        rate = report.residuals["sum_rate"]
+        assert float(rate).hex() == float(sum_rate(mats, scn.sigma2, report.allocation)).hex()
+        out = tmp_path / "row.csv"
+        assert main(["solve", BUNDLED, "--scheme", scheme, "--output", str(out)]) == EXIT_OK
+        _, _, rows = read_table(out)
+        assert rows[0]["sum_rate_bpshz"] == f"{rate:.12g}"
+
     @pytest.mark.parametrize("name", ["nodir/row.csv", "."], ids=["missing_dir", "is_dir"])
     def test_unwritable_output(self, tmp_path, capsys, monkeypatch, name):
         monkeypatch.setattr("mfswipt.cli.run_scheme", no_work)
@@ -363,6 +376,25 @@ class TestSweep:
         assert "4 of 4 rows" in err[0] and "K grid value 1 below the base count 3" in err[0]
         _, _, rows = read_table(out)
         assert [r["status"].split(":")[0] for r in rows] == ["Error"] * 4
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--variable", "R", "--grid", "5,nan,1"], "must be finite"),
+            (["--variable", "P0_dBm", "--grid", "inf"], "must be finite"),
+            (["--variable", "P0_dBm", "--grid", "20", "--seed", "-1"], "seed must be >= 0"),
+            (["--variable", "K", "--grid", "4", "--seed", "-1"], "seed must be >= 0"),
+        ],
+        ids=["R_nan", "P0_inf", "P0_seed", "K_seed"],
+    )
+    def test_refused_grid_or_seed_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        monkeypatch.setattr("mfswipt.benchmarks.run_scheme", no_work)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", BUNDLED, *flags, "--output", str(out)]) == EXIT_BAD_INPUT
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("variable, grid", [("K", "3.5,4.9"), ("M", "2,2.5")])
     def test_fractional_receiver_count_refused(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_geometry_instance
 from mfswipt import (
     PolarLocation,
     PowerAllocation,
@@ -17,6 +18,7 @@ from mfswipt import (
     sum_rate,
     weighted_sum_power,
 )
+from mfswipt.metrics import _ordered_sum
 
 
 def steering_oracle(cfg, scn, y):
@@ -109,6 +111,24 @@ class TestIdRate:
                 bumped = y.copy()
                 bumped[other] += 0.01
                 assert id_rate(mats, scn.sigma2, bumped, 0) <= base + 1e-15
+
+
+class TestSumRate:
+    def test_ordered_sum_adds_left_to_right(self):
+        # compensated summation (the builtin sum from Python 3.12 on) gives 2.0
+        assert _ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+        assert _ordered_sum([]) == 0.0
+
+    @pytest.mark.parametrize("n_id", [3, 4])
+    def test_sum_of_rates_left_to_right(self, array256, n_id):
+        rng = np.random.default_rng(40 + n_id)
+        for _ in range(10):
+            mats, scn = random_geometry_instance(rng, array256, n_eh=2, n_id=n_id)
+            y = rng.uniform(0.0, 1.0, mats.n_slots)
+            total = 0.0
+            for m in range(n_id):
+                total += id_rate(mats, scn.sigma2, y, m)
+            assert float(sum_rate(mats, scn.sigma2, y)).hex() == total.hex()
 
 
 class TestEhPower:

@@ -1,8 +1,11 @@
+import collections
 import dataclasses
 import itertools
 import logging
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -394,7 +397,7 @@ class TestClosedFormMixed:
             y = report.allocation.powers
             assert y.sum() == scn.p0
             if np.argmax(mats.priorities) != mats.n_eh:
-                assert abs(report.residuals["rate_slack"]) < 1e-6
+                assert abs(report.residuals["sum_rate"] - scn.rate_floor) < 1e-6
 
     def test_infeasible_when_budget_below_rate_power(self, array256):
         rng = np.random.default_rng(73)
@@ -738,7 +741,7 @@ def test_masked_solve_ignores_couplings_of_switched_off_slots(case, seed):
 RETRACE_CASES = {
     # harvester 0 has the top priority, but only harvester 1 is ever the
     # leftover candidate: 0111 lacks the top-priority slot and starts its
-    # price search elsewhere, 1011 lacks the recorded candidate
+    # price search elsewhere, 1011 lacks harvester 1
     "top_never_takes_leftover": (
         [[0.13842734062170015, 0.11124174541084872], [-0.6567699392990296, 0.11452386099760099]],
         [[0.24480152360761176, 1.0964946030547804], [0.14749126728108908, 1.2780273219398683]],
@@ -797,12 +800,13 @@ def test_retrace_needs_every_condition(name):
 
 
 def test_search_counts_each_outcome_on_bundled_scenario(reference_setup):
-    # at 20 dBm the full schedule records only harvester 0 as its leftover
-    # candidate, and the three schedules that keep it and both decoders
-    # (harvester 0 has the top priority) retrace the full solve
+    # at 20 dBm the full schedule's report has only harvester 0 as its
+    # leftover candidate, and the three schedules that keep it and both
+    # decoders (harvester 0 has the top priority) retrace the full solve
     cfg, scn, _ = reference_setup
     scn = dataclasses.replace(scn, p0=dbm_to_watts(20.0))
     mats = build_matrices(cfg, scn)
+    assert sca_solve(mats, scn).leftover == frozenset({0})
     got, logged = logged_search(mats, scn)
     assert logged.counts == [
         "exhaustive schedules=32 solved=1 retraced=3 pruned=20 skipped=7 empty=1"
@@ -817,6 +821,88 @@ def test_search_counts_each_outcome_on_bundled_scenario(reference_setup):
     assert report_bits(got) == report_bits(
         dataclasses.replace(full, iterations=4 * full.iterations)
     )
+
+
+def test_leftover_is_none_without_rounds(reference_setup):
+    # the LP path (no floor, or one decoder) and an unmet floor run no round
+    _, scn, mats = reference_setup
+    no_floor = sca_solve(mats, dataclasses.replace(scn, rate_floor=0.0))
+    one_decoder = sca_solve(mats, scn, mask=np.arange(mats.n_slots) <= mats.n_eh)
+    unmet = sca_solve(mats, dataclasses.replace(scn, rate_floor=15.0))
+    assert no_floor.status is SolveStatus.OPTIMAL
+    assert one_decoder.status is SolveStatus.OPTIMAL
+    assert unmet.status is SolveStatus.INFEASIBLE
+    for report in (no_floor, one_decoder, unmet):
+        assert report.iterations == 0
+        assert report.leftover is None
+
+
+class ThreadLines(logging.Handler):
+    """Collects `exhaustive_search`'s schedule and count lines per thread."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = collections.defaultdict(list)
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message.startswith(("schedule ", "exhaustive ")):
+            self.lines[record.threadName].append(message)
+
+
+def test_concurrent_searches_share_no_starts(reference_setup, array256):
+    # two searches at once, on instances with two decoders each (so their
+    # decoder-only starts have the same keys): each reports and logs as it
+    # does alone, because each thread sees only its own starts
+    cfg, scn, _ = reference_setup
+    scn = dataclasses.replace(scn, p0=dbm_to_watts(20.0))
+    drawn, drawn_scn = random_geometry_instance(
+        np.random.default_rng(6), array256, n_eh=4, n_id=2, rate_floor=0.0
+    )
+    r_star = fp_rate_max(drawn, drawn_scn).r_star
+    cases = {
+        "bundled": (build_matrices(cfg, scn), scn),
+        "drawn": (drawn, dataclasses.replace(drawn_scn, rate_floor=0.9 * r_star)),
+    }
+    want = {}
+    for name, (mats, s) in cases.items():
+        report, logged = logged_search(mats, s)
+        want[name] = (report_bits(report), logged.lines + logged.counts)
+    # the drawn search solves schedules that share a decoder subset's start
+    assert int(re.search(r" solved=(\d+) ", want["drawn"][1][-1]).group(1)) > 1
+
+    repeats = 3
+    barrier = threading.Barrier(len(cases))
+    got, errors = collections.defaultdict(list), []
+
+    def search(name):
+        try:
+            barrier.wait()
+            for _ in range(repeats):
+                got[name].append(report_bits(exhaustive_search(*cases[name])))
+        except Exception as exc:  # reaches the main thread through `errors`
+            errors.append(exc)
+
+    logger = logging.getLogger("mfswipt.solvers")
+    handler, level = ThreadLines(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=search, args=(n,), name=n) for n in cases]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert errors == []
+    for name, (bits, lines) in want.items():
+        assert got[name] == [bits] * repeats
+        assert handler.lines[name] == lines * repeats
 
 
 class TestEdgeCases:
