@@ -61,8 +61,14 @@ log = logging.getLogger(__name__)
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("MFSWIPT_LOG", "WARNING").upper()
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
+    """Log on stderr at the level MFSWIPT_LOG names (any case); at WARNING,
+    after a one-line warning, when it names no logging level."""
+    name = os.environ.get("MFSWIPT_LOG") or "WARNING"
+    level = logging.getLevelName(name.upper())  # the number of a level name, else a string
+    if not isinstance(level, int):
+        print(f"warning: MFSWIPT_LOG={name} is not a logging level; using WARNING", file=sys.stderr)
+        level = logging.WARNING
+    logging.basicConfig(stream=sys.stderr, level=level)
 
 
 def _fmt(value) -> str:

@@ -35,8 +35,7 @@ Solvers provided:
   benchmark oracle.  A schedule that provably repeats the full schedule's
   solve (by that report's `leftover`) takes its report, a schedule whose
   objective bound (from the interference-free power its decoders need)
-  cannot beat the incumbent is skipped, and `fp_rate_max` runs once per
-  decoder subset.
+  cannot beat the incumbent is pruned.
 
 Every solver accepts an optional boolean `mask` pinning the complementary
 slots to zero power; unscheduled harvesters still collect leakage in the
@@ -51,7 +50,6 @@ import itertools
 import logging
 import math
 import numbers
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -725,25 +723,6 @@ def _lp_report(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray) 
     return _report(mats, scenario, y)
 
 
-# the decoder-only starts of the running `exhaustive_search`, keyed by the
-# decoder subset's bits; None outside a search.  A context variable, so
-# `sca_solve` keeps its signature and each thread sees only its own search
-_STARTS: ContextVar[dict | None] = ContextVar("starts", default=None)
-
-
-def _rate_max_start(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray):
-    """`fp_rate_max` on the schedule's decoders.  It reads only mask & decoders,
-    so inside `exhaustive_search` every subset is solved once and its result
-    shared by the schedules that keep those decoders."""
-    starts = _STARTS.get()
-    if starts is None:
-        return fp_rate_max(mats, scenario, mask)
-    key = mask[mats.n_eh :].tobytes()
-    if key not in starts:
-        starts[key] = fp_rate_max(mats, scenario, mask)
-    return starts[key]
-
-
 def sca_solve(
     mats: CorrelationMatrices,
     scenario: Scenario,
@@ -771,7 +750,7 @@ def sca_solve(
     if scenario.rate_floor <= 0 or np.count_nonzero(mask[mats.n_eh :]) <= 1:
         return _lp_report(mats, scenario, mask)
 
-    best = _rate_max_start(mats, scenario, mask)
+    best = fp_rate_max(mats, scenario, mask)
     if not best.r_star >= scenario.rate_floor - FEASIBILITY_TOLERANCE:  # NaN is infeasible
         return _infeasible_report(mats, r_star=best.r_star)
 
@@ -879,8 +858,7 @@ def exhaustive_search(
     Schedules without a decoder are skipped whenever the rate floor is
     positive; ties resolve to the lexicographically smallest schedule
     (slot 0 is the most significant position).  More than
-    MAX_SCHEDULE_SLOTS slots are refused.  Inside one search `fp_rate_max`
-    runs once per decoder subset.
+    MAX_SCHEDULE_SLOTS slots are refused.
 
     The full schedule, the `proposed` solve, is solved first and seeds the
     incumbent.  When it runs SCA rounds, its report's `leftover` holds the
@@ -912,14 +890,6 @@ def exhaustive_search(
     (the status of a solved schedule, or retraced, pruned, skipped or
     empty), and the search logs one line with the count of each outcome.
     """
-    token = _STARTS.set({})
-    try:
-        return _exhaustive(mats, scenario, opts)
-    finally:
-        _STARTS.reset(token)
-
-
-def _exhaustive(mats: CorrelationMatrices, scenario: Scenario, opts: SolverOptions) -> SolveReport:
     n, k, floor = mats.n_slots, mats.n_eh, scenario.rate_floor
     rho = mats.priorities
     best: SolveReport | None = None

@@ -32,6 +32,14 @@ from mfswipt.cli import (
 BUNDLED = str(bundled_scenario_path())
 
 
+def cli_command(*argv):
+    """A fresh interpreter running `mfswipt <argv>`, Python warnings off."""
+    src = str(Path(mfswipt.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from mfswipt.cli import main; "
+    code += "sys.exit(main(sys.argv[2:]))"
+    return [sys.executable, "-W", "ignore", "-c", code, src, *argv]
+
+
 def no_work(*args, **kwargs):
     pytest.fail("the computation ran before the output path was checked")
 
@@ -182,6 +190,19 @@ class TestUsage:
     def test_help_and_version_exit_ok(self, capsys, argv, text):
         assert main(argv) == EXIT_OK
         assert text in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["basic_format", "bogus", "Info"])
+    def test_log_level_must_be_a_level_name(self, value):
+        # `basic_format` names a `logging` attribute that is no level, `bogus`
+        # nothing; either warns once and runs at WARNING, as unset would
+        env = {**os.environ, "MFSWIPT_LOG": value}
+        proc = subprocess.run(
+            cli_command("check", BUNDLED), env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == EXIT_OK
+        assert "hash=" in proc.stdout
+        warning = f"warning: MFSWIPT_LOG={value} is not a logging level; using WARNING\n"
+        assert proc.stderr == ("" if value == "Info" else warning)
 
 
 class TestSolve:
@@ -419,15 +440,12 @@ class TestSweep:
         # not fit the pipe, shrunk to one page, and the 8 KiB write buffer, so
         # the child writes into a closed pipe; every row is Optimal at R = 0,
         # so the sweep's own exit code is 0
-        src = str(Path(mfswipt.__file__).resolve().parents[1])
-        code = "import sys; sys.path.insert(0, sys.argv[1]); from mfswipt.cli import main; "
-        code += "sys.exit(main(sys.argv[2:]))"
         grid = ",".join(["0"] * 400)
         argv = ["sweep", BUNDLED, "--variable", "R", "--grid", grid, "--schemes", "as_epa"]
         read_fd, write_fd = os.pipe()
         fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
         proc = subprocess.Popen(
-            [sys.executable, "-W", "ignore", "-c", code, src, *argv],
+            cli_command(*argv),
             stdout=write_fd,
             stderr=subprocess.PIPE,
         )

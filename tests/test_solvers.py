@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -497,7 +497,7 @@ class TestExhaustiveSearch:
 
 
 def brute_force(mats, scn):
-    """`exhaustive_search` without pruning, retracing or shared starts:
+    """`exhaustive_search` without pruning or retracing:
     `sca_solve` on every schedule that has a slot (and a decoder under a
     positive floor).  Returns the first strict maximum as (objective,
     allocation), or None when no schedule is feasible (the empty schedule
@@ -561,6 +561,27 @@ PRUNE_CFG = ArrayConfig(n_antennas=256, carrier_freq=30e9)
 PRUNE_Z = rayleigh_distance(PRUNE_CFG)
 
 
+def drawn_case(eh, idr, p0_dbm, rate_floor):
+    """(mats, scenario) of a drawn deployment: [theta, r / Z] per receiver,
+    or [theta, r / Z, weight] per harvester, P0 in dBm and the floor R (None
+    for r* - 5e-8)."""
+
+    def rx(entry):
+        return Receiver(PolarLocation(entry[0], entry[1] * PRUNE_Z), *entry[2:])
+
+    scn = Scenario(
+        eh_receivers=tuple(rx(e) for e in eh),
+        id_receivers=tuple(rx(e) for e in idr),
+        sigma2=(dbm_to_watts(-80.0),) * len(idr),
+        p0=dbm_to_watts(p0_dbm),
+        rate_floor=0.0,
+    )
+    mats = build_matrices(PRUNE_CFG, scn)
+    if rate_floor is None:
+        rate_floor = fp_rate_max(mats, scn).r_star - 5e-8
+    return mats, dataclasses.replace(scn, rate_floor=rate_floor)
+
+
 FLOORS = ("zero", "drawn", "below_edge", "above_edge", "above")
 
 
@@ -570,7 +591,10 @@ def pruning_cases(draw, k=st.integers(0, 4), m=st.integers(1, 3), floors=FLOORS)
     P0 20-44 dBm, and a floor of 0, a drawn 5-95% of the deployment's
     maximum sum-rate r*, r* - 5e-8 or r* + 5e-8 (where the decoder-only
     start is `Optimal` within FEASIBILITY_TOLERANCE of the floor), or 0.5
-    bps/Hz above r*."""
+    bps/Hz above r*.  The harvesters weigh 1 each, or "close" weights
+    rho_max / rho_k U(0.97, 1) (rho under unit weights) bring their
+    priorities within a few percent of each other, so that a slot below
+    the top priority often is a leftover candidate."""
 
     def rx(lo, hi):
         theta = draw(st.floats(-0.8, 0.8))
@@ -585,6 +609,14 @@ def pruning_cases(draw, k=st.integers(0, 4), m=st.integers(1, 3), floors=FLOORS)
         rate_floor=0.0,
     )
     mats = build_matrices(PRUNE_CFG, scn)
+    if k and draw(st.booleans()):  # "close" weights
+        rho = mats.priorities[:k]
+        eh = tuple(
+            dataclasses.replace(r, weight=float(rho.max() / rho[i]) * draw(st.floats(0.97, 1.0)))
+            for i, r in enumerate(scn.eh_receivers)
+        )
+        scn = dataclasses.replace(scn, eh_receivers=eh)
+        mats = build_matrices(PRUNE_CFG, scn)
     floor = draw(st.sampled_from(floors))
     if floor != "zero":
         r_star = fp_rate_max(mats, scn).r_star
@@ -598,6 +630,36 @@ def pruning_cases(draw, k=st.integers(0, 4), m=st.integers(1, 3), floors=FLOORS)
     return mats, scn
 
 
+# two "close"-weight draws of `pruning_cases` (K = 4, M = 2, a drawn floor)
+# whose full solves each have two leftover candidates below the top priority,
+# harvesters 0 and 3, then 1 and 2, and pinning any of them moves the solve's
+# bits: a retrace set missing one of them retraces a schedule wrongly
+@example(
+    drawn_case(
+        [
+            [0.6550630953368408, 0.14422956165745943, 6.824572754058605],
+            [0.5166658019948938, 0.20206123128696502, 13.43249809870297],
+            [-0.5905482149194914, 0.05495712706567977, 0.9728812019460972],
+            [-0.3508097229616361, 0.2702631347038466, 23.82580767359742],
+        ],
+        [[-0.7916634249339565, 1.050609604591966], [0.5663369055435334, 1.2396871672800946]],
+        40.368883299073715,
+        6.90033741973097,
+    )
+)
+@example(
+    drawn_case(
+        [
+            [-0.5015618918614264, 0.25144817033677097, 80.03389967237192],
+            [0.0436432680668426, 0.197384938776746, 48.47349011803924],
+            [0.5845872469726547, 0.02808716634023617, 0.9886255071796815],
+            [-0.6074424103419045, 0.22320202960688273, 61.38042761751959],
+        ],
+        [[-0.6363939150374995, 1.051324399906189], [0.7642688774193196, 1.0616987622253522]],
+        40.65668601314701,
+        18.236674674427036,
+    )
+)
 @settings(max_examples=50)
 @given(pruning_cases())
 def test_pruning_changes_no_answer(case):
@@ -611,10 +673,9 @@ def test_pruning_changes_no_answer(case):
         assert got.status is SolveStatus.OPTIMAL
         assert float(got.objective).hex() == float(want[0]).hex()
         assert got.allocation.powers.tobytes() == want[1].tobytes()
-    # every schedule solved inside the search (with shared decoder-only
-    # starts) reports as it does alone; every retraced one takes the full
-    # schedule's report, which is bit for bit what it gives alone; every
-    # pruned one loses strictly
+    # every schedule solved inside the search reports as it does alone;
+    # every retraced one takes the full schedule's report, which is bit for
+    # bit what it gives alone; every pruned one loses strictly
     assert len(logged.lines) == 2**mats.n_slots
     outcomes = {}
     for line in logged.lines:
@@ -773,22 +834,8 @@ RETRACE_CASES = {
 
 @pytest.mark.parametrize("name", RETRACE_CASES)
 def test_retrace_needs_every_condition(name):
-    eh, idr, p0_dbm, rate_floor, schedules = RETRACE_CASES[name]
-
-    def rx(pair):
-        return Receiver(PolarLocation(pair[0], pair[1] * PRUNE_Z))
-
-    scn = Scenario(
-        eh_receivers=tuple(rx(p) for p in eh),
-        id_receivers=tuple(rx(p) for p in idr),
-        sigma2=(dbm_to_watts(-80.0),) * len(idr),
-        p0=dbm_to_watts(p0_dbm),
-        rate_floor=0.0,
-    )
-    mats = build_matrices(PRUNE_CFG, scn)
-    if rate_floor is None:
-        rate_floor = fp_rate_max(mats, scn).r_star - 5e-8
-    scn = dataclasses.replace(scn, rate_floor=rate_floor)
+    *deployment, schedules = RETRACE_CASES[name]
+    mats, scn = drawn_case(*deployment)
     full = sca_solve(mats, scn)
     assert full.iterations > 0
     _, logged = logged_search(mats, scn)
@@ -850,10 +897,10 @@ class ThreadLines(logging.Handler):
             self.lines[record.threadName].append(message)
 
 
-def test_concurrent_searches_share_no_starts(reference_setup, array256):
-    # two searches at once, on instances with two decoders each (so their
-    # decoder-only starts have the same keys): each reports and logs as it
-    # does alone, because each thread sees only its own starts
+def test_concurrent_searches_match_sequential(reference_setup, array256):
+    # two searches at once, on instances with two decoders each: each
+    # reports and logs as it does alone, so no state of one search leaks
+    # into the other
     cfg, scn, _ = reference_setup
     scn = dataclasses.replace(scn, p0=dbm_to_watts(20.0))
     drawn, drawn_scn = random_geometry_instance(
@@ -868,7 +915,7 @@ def test_concurrent_searches_share_no_starts(reference_setup, array256):
     for name, (mats, s) in cases.items():
         report, logged = logged_search(mats, s)
         want[name] = (report_bits(report), logged.lines + logged.counts)
-    # the drawn search solves schedules that share a decoder subset's start
+    # the drawn search solves schedules besides the full one
     assert int(re.search(r" solved=(\d+) ", want["drawn"][1][-1]).group(1)) > 1
 
     repeats = 3
