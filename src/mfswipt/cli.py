@@ -20,9 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import logging
 import math
+import operator
 import os
 import sys
 import time
@@ -58,6 +60,9 @@ CSV_COLUMNS = [
 ]
 
 log = logging.getLogger(__name__)
+
+# a row's cells in CSV_COLUMNS order
+_row_cells = operator.attrgetter(*(f.name for f in dataclasses.fields(ResultRow)))
 
 
 def _setup_logging() -> None:
@@ -111,7 +116,7 @@ def _write_rows(
         out.write(f"# mfswipt v{__version__} {meta}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows([_fmt(v) for v in dataclasses.astuple(row)] for row in rows)
+        writer.writerows([_fmt(v) for v in _row_cells(row)] for row in rows)
         for line in trailer:
             out.write(f"# {line}\n")
     except BrokenPipeError:
@@ -251,6 +256,7 @@ def _cmd_correlate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mfswipt", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"mfswipt {__version__}")

@@ -37,6 +37,10 @@ Solvers provided:
   objective bound (from the interference-free power its decoders need)
   cannot beat the incumbent is pruned.
 
+Inside `_shared_full_solve`, which `benchmarks.run_sweep` opens around each
+grid point, the `proposed` scheme and the search's first schedule share one
+full-schedule solve (see `_full_solve`).
+
 Every solver accepts an optional boolean `mask` pinning the complementary
 slots to zero power; unscheduled harvesters still collect leakage in the
 objective.  All routines are deterministic.  A solve writes nothing outside
@@ -46,6 +50,8 @@ comparison harness in `benchmarks` names its runs.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import logging
 import math
@@ -790,6 +796,46 @@ def sca_solve(
 
 
 # ---------------------------------------------------------------------------
+# one full-schedule solve per sweep point
+
+# [(mats, scenario, opts, report)] of the open `_shared_full_solve` scope, else None
+_FULL = contextvars.ContextVar("mfswipt_full_solve", default=None)
+
+
+@contextlib.contextmanager
+def _shared_full_solve():
+    """Within the block, `_full_solve` solves the full schedule of one
+    (mats, scenario, opts) once and hands that report to every later call.
+    The scope lives in the context that opened it; a thread started without
+    a copy of that context, and every call after the block, solves afresh."""
+    token = _FULL.set([])
+    try:
+        yield
+    finally:
+        _FULL.reset(token)
+
+
+def _full_solve(
+    mats: CorrelationMatrices, scenario: Scenario, opts: SolverOptions
+) -> SolveReport:
+    """`sca_solve(mats, scenario, opts)` on the full schedule.  Inside
+    `_shared_full_solve` a call on the same `mats` and `scenario` objects
+    with equal `opts` returns the report of the first such call: the solve
+    is deterministic, so the report is the one a second solve would give,
+    bit for bit.  A solve that raises is not kept."""
+    shared = _FULL.get()
+    if shared is None:
+        return sca_solve(mats, scenario, opts)
+    if shared:
+        m, scn, o, report = shared[0]
+        if m is mats and scn is scenario and o == opts:
+            return report
+    report = sca_solve(mats, scenario, opts)
+    shared[:] = [(mats, scenario, opts, report)]
+    return report
+
+
+# ---------------------------------------------------------------------------
 # exhaustive oracle
 
 
@@ -861,8 +907,10 @@ def exhaustive_search(
     MAX_SCHEDULE_SLOTS slots are refused.
 
     The full schedule, the `proposed` solve, is solved first and seeds the
-    incumbent.  When it runs SCA rounds, its report's `leftover` holds the
-    leftover candidate of each of their Lagrangian maximizations: the free
+    incumbent; inside `_shared_full_solve` that solve is shared with
+    `proposed` (`_full_solve`), and it counts as solved here either way.
+    When it runs SCA rounds, its report's `leftover` holds the leftover
+    candidate of each of their Lagrangian maximizations: the free
     slot of best positive reduced cost, which takes the leftover budget
     unless the decoders spend it all, and bounds their price either way.  A
     schedule that keeps every decoder, every slot of `leftover` and a slot
@@ -897,7 +945,7 @@ def exhaustive_search(
     counts = dict.fromkeys(("solved", "retraced", "pruned", "skipped", "empty"), 0)
     full = None  # solved first when the loop would solve it: it seeds the incumbent
     if n and (floor <= 0 or mats.n_id):
-        full = sca_solve(mats, scenario, opts)
+        full = _full_solve(mats, scenario, opts)
         total_iters += full.iterations
     seed = -math.inf
     if full is not None and full.status is SolveStatus.OPTIMAL:

@@ -1,22 +1,32 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfswipt import (
+    ArrayConfig,
     PolarLocation,
     Receiver,
+    Scenario,
     SchemeId,
     SolveStatus,
     SolverOptions,
     SweepSpec,
     build_matrices,
+    dbm_to_watts,
+    rayleigh_distance,
     run_scheme,
     run_sweep,
     sum_rate,
     weighted_sum_power,
 )
+from mfswipt import benchmarks, solvers
+from mfswipt.benchmarks import ResultRow
+from mfswipt.cli import _fmt
 
 
 class TestRunScheme:
@@ -241,3 +251,198 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SweepSpec(variable=variable, grid=(3.0,), seed=-1)
         assert SweepSpec(variable=variable, grid=(3.0,), seed=0).seed == 0
+
+
+EPA_CFG = ArrayConfig(n_antennas=256, carrier_freq=30e9)
+EPA_Z = rayleigh_distance(EPA_CFG)
+
+
+def unscreened_equal_split(mats, scn, masks):
+    """The equal-power baselines without the interference-free screen: the
+    first split, in `masks` order, that meets the floor within 1e-9 and beats
+    every earlier one strictly.  Returns (allocation, objective, sum-rate) or
+    None."""
+    best = None
+    for mask in masks:
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        y = np.where(mask, scn.p0 / count, 0.0)
+        obj = float(mats.priorities @ y)
+        if best is not None and not obj > best[1]:
+            continue
+        rate = sum_rate(mats, scn.sigma2, y)
+        if rate - scn.rate_floor >= -1e-9:
+            best = (y, obj, rate)
+    return best
+
+
+@st.composite
+def equal_split_cases(draw):
+    """K = 0-4 harvesters at 0.015-0.3 Z and M = 0-3 decoders at 1.05-1.3 Z
+    (at least one receiver), P0 20-44 dBm, and a floor of 0, a drawn
+    0.05-12 bps/Hz, or one at the edge of a drawn schedule's equal split:
+    within a few ulps of where its sum-rate r passes the floor test
+    (R = r + 1e-9), or of where its interference-free bound b passes the
+    screen (R - 1e-9 - 1e-12 R = b)."""
+
+    def rx(lo, hi):
+        theta = draw(st.floats(-0.8, 0.8))
+        return Receiver(PolarLocation(theta, draw(st.floats(lo, hi)) * EPA_Z))
+
+    k = draw(st.integers(0, 4))
+    m = draw(st.integers(0 if k else 1, 3))
+    scn = Scenario(
+        eh_receivers=tuple(rx(0.015, 0.3) for _ in range(k)),
+        id_receivers=tuple(rx(1.05, 1.3) for _ in range(m)),
+        sigma2=(dbm_to_watts(-80.0),) * m,
+        p0=dbm_to_watts(draw(st.floats(20.0, 44.0))),
+        rate_floor=0.0,
+    )
+    mats = build_matrices(EPA_CFG, scn)
+    kind = draw(st.sampled_from(["zero", "drawn", "rate_edge", "screen_edge"]))
+    if kind == "drawn":
+        floor = draw(st.floats(0.05, 12.0))
+    elif kind != "zero":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=k + m, max_size=k + m)))
+        mask[k + m - 1] = True
+        p = scn.p0 / int(mask.sum())
+        if kind == "rate_edge":
+            edge = sum_rate(mats, scn.sigma2, np.where(mask, p, 0.0)) + 1e-9
+        else:
+            free = 0.0
+            for g, s2, on in zip(mats.g_id.tolist(), scn.sigma2, mask[k:].tolist()):
+                free += math.log2(1.0 + g * p / s2) if on else 0.0
+            edge = (free + 1e-9) / (1.0 - 1e-12)
+        floor = edge
+        for _ in range(draw(st.integers(0, 3))):
+            floor = math.nextafter(floor, draw(st.sampled_from([0.0, math.inf])))
+        floor = max(floor, 0.0)
+    if kind != "zero":
+        scn = dataclasses.replace(scn, rate_floor=floor)
+    return mats, scn
+
+
+def assert_same_split(report, want):
+    if want is None:
+        assert report.status is SolveStatus.INFEASIBLE
+        assert not report.allocation.powers.any()
+        return
+    y, obj, rate = want
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.allocation.powers.tobytes() == y.tobytes()
+    assert float(report.objective).hex() == obj.hex()
+    assert float(report.residuals["sum_rate"]).hex() == rate.hex()
+
+
+@settings(max_examples=150)
+@given(equal_split_cases())
+def test_equal_split_screen_changes_no_answer(case):
+    # the interference-free screen drops only splits that fail the floor
+    # test anyway, so both equal-power baselines report bit for bit what
+    # the unscreened loop finds
+    mats, scn = case
+    n = mats.n_slots
+    masks = [np.array(bits) for bits in itertools.product((False, True), repeat=n)]
+    assert_same_split(
+        run_scheme(SchemeId.OS_EPA, mats, scn), unscreened_equal_split(mats, scn, masks)
+    )
+    assert_same_split(
+        run_scheme(SchemeId.AS_EPA, mats, scn),
+        unscreened_equal_split(mats, scn, [np.ones(n, dtype=bool)]),
+    )
+
+
+def test_equal_split_screen_skips_rate_evaluations(reference_setup, monkeypatch):
+    # at 20 dBm only the split that wins needs its rate evaluated; without
+    # the screen, 31 splits that beat the incumbent of their turn were
+    cfg, scn, _ = reference_setup
+    scn = dataclasses.replace(scn, p0=dbm_to_watts(20.0))
+    mats = build_matrices(cfg, scn)
+    evaluated = []
+    report = benchmarks._report
+
+    def counting(mats, scenario, y, *args, **kwargs):
+        evaluated.append(y)
+        return report(mats, scenario, y, *args, **kwargs)
+
+    monkeypatch.setattr(benchmarks, "_report", counting)
+    got = run_scheme(SchemeId.OS_EPA, mats, scn)
+    assert got.status is SolveStatus.OPTIMAL
+    assert len(evaluated) <= 2
+
+
+def csv_cells(row):
+    """A row's CSV cells, NaN written as an empty cell."""
+    return [_fmt(v) for v in dataclasses.astuple(row)]
+
+
+@pytest.fixture
+def full_solves(monkeypatch):
+    """The budget P0 of every full-schedule `sca_solve` call (no mask)."""
+    calls = []
+    inner = solvers.sca_solve
+
+    def counting(mats, scenario, opts=SolverOptions(), mask=None):
+        if mask is None:
+            calls.append(scenario.p0)
+        return inner(mats, scenario, opts, mask)
+
+    monkeypatch.setattr(solvers, "sca_solve", counting)
+    return calls
+
+
+class TestSharedFullSolve:
+    @pytest.mark.parametrize("first", [SchemeId.PROPOSED, SchemeId.EXHAUSTIVE])
+    def test_one_full_solve_per_point(self, reference_setup, full_solves, first):
+        # proposed and exhaustive share one full-schedule solve per grid
+        # point in either order, and the rows are those of separate runs
+        cfg, scn, _ = reference_setup
+        schemes = [first] + [s for s in SchemeId if s is not first]
+        spec = SweepSpec(variable="P0_dBm", grid=(20.0, 24.0), seed=1)
+        rows = run_sweep(spec, cfg, scn, schemes)
+        assert full_solves == [dbm_to_watts(20.0), dbm_to_watts(24.0)]
+        alone = []
+        for value in spec.grid:
+            point = dataclasses.replace(scn, p0=dbm_to_watts(value))
+            mats = build_matrices(cfg, point)
+            for scheme in schemes:
+                report = run_scheme(scheme, mats, point)
+                row = ResultRow.from_report("P0_dBm", value, scheme.value, report, point, seed=1)
+                alone.append(row)
+        assert [csv_cells(r) for r in rows] == [csv_cells(r) for r in alone]
+        assert not any(r.status.startswith("Error") for r in rows)
+
+    def test_no_sharing_outside_a_sweep(self, reference_setup, full_solves):
+        # the same objects twice, outside run_sweep: two solves
+        _, scn, mats = reference_setup
+        first = run_scheme(SchemeId.PROPOSED, mats, scn)
+        second = run_scheme(SchemeId.PROPOSED, mats, scn)
+        assert full_solves == [scn.p0, scn.p0]
+        assert first is not second
+
+    def test_scope_per_point_and_none_after(self, reference_setup, monkeypatch, full_solves):
+        # each grid point opens its own scope and closes it, also when the
+        # point's last row is an error row or the point fails before its runs
+        cfg, scn, _ = reference_setup
+        scopes = []
+        inner = benchmarks.run_scheme
+
+        def spying(scheme, mats, scenario, opts):
+            scopes.append(solvers._FULL.get())
+            return inner(scheme, mats, scenario, opts)
+
+        monkeypatch.setattr(benchmarks, "run_scheme", spying)
+        decoder_only = dataclasses.replace(scn, eh_receivers=(), rate_floor=2.0)
+        spec = SweepSpec(variable="R", grid=(1.0, 2.0), seed=1)
+        rows = run_sweep(spec, cfg, decoder_only, [SchemeId.PROPOSED, SchemeId.GS_OPA])
+        assert [r.status.startswith("Error") for r in rows] == [False, True] * 2
+        assert len(scopes) == 4 and all(s is not None for s in scopes)
+        assert scopes[0] is scopes[1] and scopes[2] is scopes[3] and scopes[0] is not scopes[2]
+        assert solvers._FULL.get() is None
+        below = SweepSpec(variable="K", grid=(2,), seed=5)
+        assert run_sweep(below, cfg, scn, [SchemeId.PROPOSED])[0].status.startswith("Error")
+        assert solvers._FULL.get() is None
+        full_solves.clear()
+        run_scheme(SchemeId.PROPOSED, build_matrices(cfg, decoder_only), decoder_only)
+        assert len(full_solves) == 1

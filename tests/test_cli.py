@@ -26,6 +26,7 @@ from mfswipt.cli import (
     EXIT_UNEXPECTED,
     _error_grid_text,
     _fmt,
+    build_parser,
     main,
 )
 
@@ -203,6 +204,43 @@ class TestUsage:
         assert "hash=" in proc.stdout
         warning = f"warning: MFSWIPT_LOG={value} is not a logging level; using WARNING\n"
         assert proc.stderr == ("" if value == "Info" else warning)
+
+
+def without_wall_times(text):
+    """A sweep CSV with its wall_ms cells left out."""
+    column = CSV_COLUMNS.index("wall_ms")
+    return [line.split(",")[:column] + line.split(",")[column + 1 :] for line in text.splitlines()]
+
+
+def test_one_parser_per_process_parses_as_fresh(capsys, monkeypatch):
+    # the parser is built on the first call and reused; every call still
+    # exits, prints and writes as it does in a fresh interpreter, so no call
+    # leaves a flag value, a default or an error behind for the next one
+    monkeypatch.delenv("MFSWIPT_LOG", raising=False)
+    env = {k: v for k, v in os.environ.items() if k != "MFSWIPT_LOG"}
+    sweep = ["sweep", BUNDLED, "--variable", "R", "--grid", "3", "--schemes", "as_epa,gs_opa"]
+    calls = [
+        (sweep + ["--timing"], EXIT_OK),
+        (["solve", BUNDLED, "--scheme", "as_epa"], EXIT_OK),
+        (sweep, EXIT_OK),
+        (["sweep", BUNDLED, "--variable", "R"], EXIT_BAD_INPUT),  # --grid missing
+        (["check", BUNDLED], EXIT_OK),
+        (["--version"], EXIT_OK),
+    ]
+    for argv, code in calls:
+        assert main(argv) == code
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            cli_command(*argv), env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (fresh.returncode, fresh.stderr) == (code, got.err)
+        if "--timing" in argv:  # wall times differ from run to run
+            rows = list(csv.DictReader(io.StringIO(got.out), CSV_COLUMNS))[2:]
+            assert len(rows) == 2 and all(float(r["wall_ms"]) >= 0.0 for r in rows)
+            assert without_wall_times(got.out) == without_wall_times(fresh.stdout)
+        else:
+            assert got.out == fresh.stdout
+    assert build_parser() is build_parser()
 
 
 class TestSolve:
