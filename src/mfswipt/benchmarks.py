@@ -21,6 +21,7 @@ from .geometry import ArrayConfig, PolarLocation, aod_to_spatial_angle, rayleigh
 from .metrics import _ordered_sum
 from .scenario import Receiver, Scenario, dbm_to_watts, watts_to_dbm
 from .solvers import (
+    FEASIBILITY_TOLERANCE,
     SolveReport,
     SolveStatus,
     SolverOptions,
@@ -57,15 +58,16 @@ def _equal_split_report(
     mask: np.ndarray,
     incumbent: float | None = None,
 ) -> SolveReport | None:
-    """Equal power over the masked slots if that split meets the rate floor.
+    """Equal power over the masked slots if that split meets the rate floor R,
+    its sum-rate reaching R - FEASIBILITY_TOLERANCE.
 
     Given an incumbent objective, a split that does not beat it strictly is
-    dropped before its rate is evaluated.  Under a positive floor R, so is a
+    dropped before its rate is evaluated.  Under a binding floor, so is a
     split whose interference-free sum-rate, log2(1 + g_m P0/|mask| / sigma2_m)
-    summed left to right over its decoders, falls below R - 1e-9 by a further
-    1e-12 R.  Interference only lowers a rate, and the computed sum-rate
-    exceeds that computed bound by a few ulps at most, so every dropped split
-    would fail the floor test; a NaN bound drops nothing.
+    summed left to right over its decoders, falls below that mark by a
+    further 1e-12 R.  Interference only lowers a rate, and the computed
+    sum-rate exceeds that computed bound by a few ulps at most, so every
+    dropped split would fail the floor test; a NaN bound drops nothing.
     """
     count = int(mask.sum())
     if count == 0:
@@ -75,17 +77,17 @@ def _equal_split_report(
     if incumbent is not None and not _objective(mats, y) > incumbent:
         return None
     floor = scenario.rate_floor
-    if floor > 0:
+    if floor > FEASIBILITY_TOLERANCE:
         on = mask[mats.n_eh :].tolist()
         free = _ordered_sum(
             math.log2(1.0 + g * p / s2)
             for g, s2, o in zip(mats.g_id.tolist(), scenario.sigma2, on)
             if o
         )
-        if free < floor - 1e-9 - 1e-12 * floor:
+        if free < floor - FEASIBILITY_TOLERANCE - 1e-12 * floor:
             return None
     report = _report(mats, scenario, y)
-    return report if report.residuals["sum_rate"] - floor >= -1e-9 else None
+    return report if report.residuals["sum_rate"] >= floor - FEASIBILITY_TOLERANCE else None
 
 
 def run_scheme(

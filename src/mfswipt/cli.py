@@ -66,14 +66,15 @@ _row_cells = operator.attrgetter(*(f.name for f in dataclasses.fields(ResultRow)
 
 
 def _setup_logging() -> None:
-    """Log on stderr at the level MFSWIPT_LOG names (any case); at WARNING,
-    after a one-line warning, when it names no logging level."""
+    """Log at the level MFSWIPT_LOG names (any case), on stderr when no handler
+    is set; at WARNING, after a one-line warning, when it names no level."""
     name = os.environ.get("MFSWIPT_LOG") or "WARNING"
     level = logging.getLevelName(name.upper())  # the number of a level name, else a string
     if not isinstance(level, int):
         print(f"warning: MFSWIPT_LOG={name} is not a logging level; using WARNING", file=sys.stderr)
         level = logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level)
+    logging.basicConfig(stream=sys.stderr)
+    logging.getLogger().setLevel(level)
 
 
 def _fmt(value) -> str:

@@ -14,28 +14,30 @@ Solvers provided:
   allocation simplex and kept only when they do not lower the sum-rate.
 * `sca_solve` - outer linearization of the rate constraint, each round
   expanded at the previous allocation and solved exactly by `inner_convex`
-  through the round's Lagrange dual in a rate price and a budget price.
-  A floor above the maximum sum-rate of `fp_rate_max` is infeasible.  One
-  solve builds its view of all K+M slots once (the schedule only marks
-  which may take power), and each round's
-  search for the rate price starts at the previous round's optimal price
-  and takes safeguarded Newton steps on the bound's closed-form slope, so
-  a round spends about six Lagrangian maximizations.  The starting price
+  through the round's Lagrange dual in a rate price and a budget price.  One
+  rule decides the rate floor R here and in `benchmarks`: R binds only when
+  R > FEASIBILITY_TOLERANCE, and a sum-rate meets R when it reaches
+  R - FEASIBILITY_TOLERANCE, so a floor further above the maximum sum-rate
+  of `fp_rate_max` is infeasible.  One solve builds its view of all K+M
+  slots once (the schedule only marks which may take power), and each
+  round's search for the rate price starts at the previous round's optimal
+  price and takes safeguarded Newton steps on the bound's closed-form slope,
+  so a round spends about six Lagrangian maximizations.  The starting price
   and the steps move only last bits inside the round's certified duality
   gap.  The Lagrangian maximizer runs on Python floats: a round has a
   handful of active slots, where numpy's per-call overhead outweighs the
   arithmetic.  It repeats the array arithmetic operation for operation, its
   sums over the decoders run left to right as numpy's do below 8 elements,
   and the dot products stay in numpy (BLAS does not sum in order), so the
-  bits are those of the array form.  A schedule under no floor or with at
-  most one decoder (the paper's harvester-only and single-decoder cases)
-  is a linear program, which `sca_solve` solves exactly by comparing its
-  vertices, with no rounds.
-* `exhaustive_search` - brute force over all 2^(K+M) schedules, the
-  benchmark oracle.  A schedule that provably repeats the full schedule's
-  solve (by that report's `leftover`) takes its report, a schedule whose
-  objective bound (from the interference-free power its decoders need)
-  cannot beat the incumbent is pruned.
+  bits are those of the array form.  A schedule under a floor that binds
+  nothing or with at most one decoder (the paper's harvester-only and
+  single-decoder cases) is a linear program, which `sca_solve` solves
+  exactly by comparing its vertices, with no rounds.
+* `exhaustive_search` - the best `sca_solve` report over all 2^(K+M)
+  schedules, the benchmark oracle.  A schedule that provably repeats the
+  full schedule's solve (by that report's `leftover`) takes its report, a
+  schedule whose objective bound (from the interference-free power its
+  decoders need) cannot beat the incumbent is pruned.
 
 Inside `_shared_full_solve`, which `benchmarks.run_sweep` opens around each
 grid point, the `proposed` scheme and the search's first schedule share one
@@ -82,7 +84,7 @@ log = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 
-# slack (bps/Hz) allowed when comparing the maximum sum-rate with the floor
+# slack (bps/Hz) of the rate-floor rule (see the module docstring)
 FEASIBILITY_TOLERANCE = 1e-7
 # relative sum-rate change that stops the fractional-programming iteration
 FP_TOLERANCE = 1e-11
@@ -693,10 +695,10 @@ def inner_convex(
 
 
 def _lp_report(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray) -> SolveReport:
-    """Exact solution of a schedule with no floor or at most one decoder: the
-    best vertex of its linear program, ties going to the lowest slot.
+    """Exact solution of a schedule under a floor that binds nothing or with
+    at most one decoder: its LP's best vertex, ties going to the lowest slot.
 
-    Every priority is >= 0, so the budget is tight.  Without a floor the
+    Every priority is >= 0, so the budget is tight.  Under such a floor the
     vertices are the slots alone at P0.  With one decoder d the floor is the
     row g y_d >= gamma (g lambda_d @ y + sigma2), gamma = 2^R - 1, met when
     r* = log2(1 + g P0 / sigma2) reaches R - FEASIBILITY_TOLERANCE; the
@@ -708,7 +710,7 @@ def _lp_report(mats: CorrelationMatrices, scenario: Scenario, mask: np.ndarray) 
     act_ids = np.flatnonzero(mask[mats.n_eh :])
     rho, p0, floor = mats.priorities, scenario.p0, scenario.rate_floor
     y = np.zeros(mats.n_slots)
-    if len(act_ids) == 0 or floor <= 0:
+    if len(act_ids) == 0 or floor <= FEASIBILITY_TOLERANCE:
         if len(act_ids) == 0 and floor > FEASIBILITY_TOLERANCE:
             return _infeasible_report(mats, r_star=0.0)
         y[idx[np.argmax(rho[idx])]] = p0
@@ -737,8 +739,8 @@ def sca_solve(
 ) -> SolveReport:
     """Successive convexification of the rate constraint.
 
-    A schedule with no floor or at most one active decoder is solved exactly
-    by `_lp_report`, with no rounds.  Otherwise the loop starts from the
+    A schedule under a floor that binds nothing or with at most one active
+    decoder is solved by `_lp_report`'s LP.  Otherwise the loop starts from the
     decoder-only rate-maximizing allocation (feasible whenever the problem
     is), then repeats: expand the rate bound at the current allocation,
     solve the convexified round, move to its optimum.
@@ -753,7 +755,7 @@ def sca_solve(
     `exhaustive_search` reads from the full schedule's report (see there).
     """
     mask = _full_mask(mats, mask)
-    if scenario.rate_floor <= 0 or np.count_nonzero(mask[mats.n_eh :]) <= 1:
+    if scenario.rate_floor <= FEASIBILITY_TOLERANCE or np.count_nonzero(mask[mats.n_eh :]) <= 1:
         return _lp_report(mats, scenario, mask)
 
     best = fp_rate_max(mats, scenario, mask)
@@ -899,20 +901,20 @@ def exhaustive_search(
     scenario: Scenario,
     opts: SolverOptions = SolverOptions(),
 ) -> SolveReport:
-    """Brute force over all 2^(K+M) schedules, keeping the best optimized branch.
+    """The best `sca_solve` report over all 2^(K+M) schedules.
 
-    Schedules without a decoder are skipped whenever the rate floor is
-    positive; ties resolve to the lexicographically smallest schedule
-    (slot 0 is the most significant position).  More than
+    The empty schedule scores 0 unless the floor binds; under a binding
+    floor the schedules without a decoder, all Infeasible, are skipped.
+    Ties resolve to the lexicographically smallest schedule (slot 0 is the
+    most significant position).  With no `Optimal` schedule the report is
+    Infeasible with the full schedule's r*, if it states one.  More than
     MAX_SCHEDULE_SLOTS slots are refused.
 
     The full schedule, the `proposed` solve, is solved first and seeds the
     incumbent; inside `_shared_full_solve` that solve is shared with
     `proposed` (`_full_solve`), and it counts as solved here either way.
     When it runs SCA rounds, its report's `leftover` holds the leftover
-    candidate of each of their Lagrangian maximizations: the free
-    slot of best positive reduced cost, which takes the leftover budget
-    unless the decoders spend it all, and bounds their price either way.  A
+    candidates of their Lagrangian maximizations (`_lagrangian_argmax`).  A
     schedule that keeps every decoder, every slot of `leftover` and a slot
     of the largest priority repeats that solve bit for bit: it starts from
     the same decoder-only allocation, every maximization picks the same
@@ -927,9 +929,8 @@ def exhaustive_search(
     reaches R - 2 FEASIBILITY_TOLERANCE (`_least_decoder_power`), the
     bound is rho_top P0 - (rho_top - rho_dec) P_min: every `Optimal` report
     meets R - FEASIBILITY_TOLERANCE, interference only lowers a rate, so
-    the decoders take at least P_min and the other slots at most P0 - P_min.
-    P_min is lowered by 1e-9 relative and clamped to P0, and the bound raised
-    by 1e-12 relative, against rounding.  A pruned schedule would lose to the
+    the decoders take at least P_min and the other slots at most P0 - P_min
+    (with margins against rounding).  A pruned schedule would lose to the
     final best, so it moves neither the answer nor the tie-break.
 
     `iterations` sums the rounds of the solved and the retraced schedules; a
@@ -938,35 +939,29 @@ def exhaustive_search(
     (the status of a solved schedule, or retraced, pruned, skipped or
     empty), and the search logs one line with the count of each outcome.
     """
-    n, k, floor = mats.n_slots, mats.n_eh, scenario.rate_floor
-    rho = mats.priorities
+    n, k, binds = mats.n_slots, mats.n_eh, scenario.rate_floor > FEASIBILITY_TOLERANCE
     best: SolveReport | None = None
-    total_iters = 0
     counts = dict.fromkeys(("solved", "retraced", "pruned", "skipped", "empty"), 0)
-    full = None  # solved first when the loop would solve it: it seeds the incumbent
-    if n and (floor <= 0 or mats.n_id):
-        full = _full_solve(mats, scenario, opts)
-        total_iters += full.iterations
-    seed = -math.inf
-    if full is not None and full.status is SolveStatus.OPTIMAL:
-        seed = full.objective
+    full = _full_solve(mats, scenario, opts)  # solved first: it seeds the incumbent
+    total_iters = full.iterations
+    seed = full.objective if full.status is SolveStatus.OPTIMAL else -math.inf
     keep = None  # the slots a schedule keeps to retrace the full solve
-    if full is not None and full.leftover is not None:
+    if full.leftover is not None:
         keep = np.arange(n) >= k
         keep[list(full.leftover)] = True
-        top = rho == rho.max()
+        top = mats.priorities == mats.priorities.max()
     least = {}  # P_min per decoder subset
     for mask in _schedules(n):
         schedule = "".join("01"[b] for b in mask.tolist())
         if not mask.any():
             counts["empty"] += 1
             log.debug("schedule %s -> empty", schedule)
-            if floor <= 0:
+            if not binds:
                 best = _report(mats, scenario, np.zeros(n))
             continue
-        if floor > 0 and not mask[k:].any():
+        if binds and not mask[k:].any():
             counts["skipped"] += 1
-            log.debug("schedule %s -> skipped (no decoder under a positive floor)", schedule)
+            log.debug("schedule %s -> skipped (no decoder under a binding floor)", schedule)
             continue
         if mask.all():
             report, outcome = full, ""
@@ -999,5 +994,5 @@ def exhaustive_search(
             best = report
     log.debug("exhaustive schedules=%d %s", 2**n, " ".join(f"{o}={c}" for o, c in counts.items()))
     if best is None:
-        return _infeasible_report(mats)
+        return _infeasible_report(mats, full.residuals.get("r_star"))
     return replace(best, iterations=total_iters)

@@ -26,6 +26,7 @@ from mfswipt import (
 )
 from mfswipt import benchmarks, solvers
 from mfswipt.benchmarks import ResultRow
+from mfswipt.solvers import FEASIBILITY_TOLERANCE
 from mfswipt.cli import _fmt
 
 
@@ -259,9 +260,9 @@ EPA_Z = rayleigh_distance(EPA_CFG)
 
 def unscreened_equal_split(mats, scn, masks):
     """The equal-power baselines without the interference-free screen: the
-    first split, in `masks` order, that meets the floor within 1e-9 and beats
-    every earlier one strictly.  Returns (allocation, objective, sum-rate) or
-    None."""
+    first split, in `masks` order, whose sum-rate reaches
+    R - FEASIBILITY_TOLERANCE and that beats every earlier one strictly.
+    Returns (allocation, objective, sum-rate) or None."""
     best = None
     for mask in masks:
         count = int(mask.sum())
@@ -272,7 +273,7 @@ def unscreened_equal_split(mats, scn, masks):
         if best is not None and not obj > best[1]:
             continue
         rate = sum_rate(mats, scn.sigma2, y)
-        if rate - scn.rate_floor >= -1e-9:
+        if rate >= scn.rate_floor - FEASIBILITY_TOLERANCE:
             best = (y, obj, rate)
     return best
 
@@ -283,8 +284,8 @@ def equal_split_cases(draw):
     (at least one receiver), P0 20-44 dBm, and a floor of 0, a drawn
     0.05-12 bps/Hz, or one at the edge of a drawn schedule's equal split:
     within a few ulps of where its sum-rate r passes the floor test
-    (R = r + 1e-9), or of where its interference-free bound b passes the
-    screen (R - 1e-9 - 1e-12 R = b)."""
+    (R = r + FEASIBILITY_TOLERANCE), or of where its interference-free bound
+    b passes the screen (R - FEASIBILITY_TOLERANCE - 1e-12 R = b)."""
 
     def rx(lo, hi):
         theta = draw(st.floats(-0.8, 0.8))
@@ -308,12 +309,13 @@ def equal_split_cases(draw):
         mask[k + m - 1] = True
         p = scn.p0 / int(mask.sum())
         if kind == "rate_edge":
-            edge = sum_rate(mats, scn.sigma2, np.where(mask, p, 0.0)) + 1e-9
+            rate = sum_rate(mats, scn.sigma2, np.where(mask, p, 0.0))
+            edge = rate + FEASIBILITY_TOLERANCE
         else:
             free = 0.0
             for g, s2, on in zip(mats.g_id.tolist(), scn.sigma2, mask[k:].tolist()):
                 free += math.log2(1.0 + g * p / s2) if on else 0.0
-            edge = (free + 1e-9) / (1.0 - 1e-12)
+            edge = (free + FEASIBILITY_TOLERANCE) / (1.0 - 1e-12)
         floor = edge
         for _ in range(draw(st.integers(0, 3))):
             floor = math.nextafter(floor, draw(st.sampled_from([0.0, math.inf])))

@@ -205,6 +205,28 @@ class TestUsage:
         warning = f"warning: MFSWIPT_LOG={value} is not a logging level; using WARNING\n"
         assert proc.stderr == ("" if value == "Info" else warning)
 
+    @pytest.mark.parametrize("levels", [("warning", "debug"), ("debug", "warning")])
+    def test_log_level_applies_on_every_call(self, levels):
+        # two `main` calls in one process, each under its own MFSWIPT_LOG: the
+        # second call logs at its level, not at the first one's
+        src = str(Path(mfswipt.__file__).resolve().parents[1])
+        code = (
+            "import os, sys; sys.path.insert(0, sys.argv[1]); from mfswipt.cli import main\n"
+            "for level in sys.argv[3:]:\n"
+            "    os.environ['MFSWIPT_LOG'] = level\n"
+            "    main(['solve', sys.argv[2]])\n"
+            "    print('end of call', file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", code, src, BUNDLED, *levels],
+            capture_output=True, text=True, timeout=120, check=True,
+        )  # fmt: skip
+        calls = proc.stderr.split("end of call\n")
+        assert len(calls) == 3 and calls[2] == ""
+        for level, err in zip(levels, calls):
+            rounds = [ln for ln in err.splitlines() if ln.startswith("DEBUG:mfswipt.solvers:round")]
+            assert bool(rounds) == (level == "debug"), (level, err)
+
 
 def without_wall_times(text):
     """A sweep CSV with its wall_ms cells left out."""
@@ -315,6 +337,12 @@ class TestSolve:
             r"infeasible: maximum sum-rate r\* = (\S+) bps/Hz below R = 15 bps/Hz", lines[0]
         )
         assert match and float(match[1]) == pytest.approx(11.537, abs=1e-3)
+        # no schedule reaches the floor either: `exhaustive` keeps the full
+        # schedule's r* and prints the same line, with its own plain row
+        assert main(["solve", str(scenario), "--scheme", "exhaustive"]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == csv_text.replace(",proposed,", ",exhaustive,")
+        assert captured.err == lines[0] + "\n"
 
     def test_greedy_pairing_states_max_rate(self, tmp_path, capsys):
         # gs_opa keeps one decoder, the one of highest gain, whose rate alone
@@ -490,6 +518,21 @@ class TestSweep:
         os.close(write_fd)
         with os.fdopen(read_fd, "rb") as reader:
             assert reader.readline().startswith(b"# mfswipt v")
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == EXIT_OK
+
+    def test_closed_pipe_before_a_small_output(self):
+        # the reader is gone before the child writes; the child's stdout is
+        # block-buffered, as by default, so the one line of `check` waits in
+        # the buffer until `main`'s final flush, which meets the closed pipe
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        proc = subprocess.Popen(
+            cli_command("check", BUNDLED), stdout=write_fd, stderr=subprocess.PIPE, env=env
+        )
+        os.close(write_fd)
         _, err = proc.communicate(timeout=120)
         assert err == b""
         assert proc.returncode == EXIT_OK

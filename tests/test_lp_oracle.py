@@ -6,7 +6,8 @@ a linear program.  The oracle solves it with HiGHS (`scipy.optimize.linprog`)
 and shares no code with `mfswipt.solvers`.  It is scaled: powers in units
 of P0, the floor row divided by gamma sigma2 and the objective by max rho.
 Unscaled, HiGHS's 1e-7 absolute tolerance accepts points that miss the
-floor.  At R = 0 the floor row is dropped.
+floor.  At R <= 1e-7 bps/Hz, a floor that binds nothing under the
+package's rate-floor rule, the floor row is dropped.
 
 Instances are drawn in the benchmark's annuli on the bundled array: K = 1-5
 harvesters at 0.015-0.3 Z, one decoder at 1.05-1.3 Z, theta in +-0.8,
@@ -63,9 +64,9 @@ def lp_oracle(mats, scn, mask):
     floor unattainable."""
     n, d = mats.n_slots, mats.n_eh
     rho = mats.c_eh @ mats.lambda_masked
-    growth = 2.0**scn.rate_floor - 1.0
     rows, rhs = [np.ones(n)], [1.0]
-    if growth > 0:
+    if scn.rate_floor > 1e-7:
+        growth = 2.0**scn.rate_floor - 1.0
         row = -growth * mats.lambda_masked[d]
         row[d] += 1.0
         rows.append(-(mats.g_id[0] * scn.p0 / (growth * scn.sigma2[0])) * row)

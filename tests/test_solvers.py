@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -24,6 +24,7 @@ from mfswipt import (
     PolarLocation,
     Receiver,
     Scenario,
+    SchemeId,
     SolveStatus,
     SolverOptions,
     build_matrices,
@@ -32,6 +33,7 @@ from mfswipt import (
     fp_rate_max,
     inner_convex,
     rayleigh_distance,
+    run_scheme,
     sca_solve,
     sum_rate,
     weighted_sum_power,
@@ -497,18 +499,16 @@ class TestExhaustiveSearch:
 
 
 def brute_force(mats, scn):
-    """`exhaustive_search` without pruning or retracing:
-    `sca_solve` on every schedule that has a slot (and a decoder under a
-    positive floor).  Returns the first strict maximum as (objective,
-    allocation), or None when no schedule is feasible (the empty schedule
-    scores 0 without a floor), and each solved schedule's report by its bits."""
+    """`exhaustive_search` without pruning, retracing or skipping:
+    `sca_solve` on every schedule that has a slot.  Returns the first strict
+    maximum as (objective, allocation), or None when no schedule is feasible
+    (the empty schedule scores 0 under a floor R <= FEASIBILITY_TOLERANCE),
+    and each solved schedule's report by its bits."""
     best, reports = None, {}
     for mask in _schedules(mats.n_slots):
         if not mask.any():
-            if scn.rate_floor <= 0:
+            if scn.rate_floor <= FEASIBILITY_TOLERANCE:
                 best = (0.0, np.zeros(mats.n_slots))
-            continue
-        if scn.rate_floor > 0 and not mask[mats.n_eh :].any():
             continue
         report = sca_solve(mats, scn, mask=mask)
         reports["".join("01"[b] for b in mask.tolist())] = report
@@ -587,20 +587,23 @@ FLOORS = ("zero", "drawn", "below_edge", "above_edge", "above")
 
 @st.composite
 def pruning_cases(draw, k=st.integers(0, 4), m=st.integers(1, 3), floors=FLOORS):
-    """K = 0-4 harvesters at 0.015-0.3 Z, M = 1-3 decoders at 1.05-1.3 Z,
-    P0 20-44 dBm, and a floor of 0, a drawn 5-95% of the deployment's
-    maximum sum-rate r*, r* - 5e-8 or r* + 5e-8 (where the decoder-only
-    start is `Optimal` within FEASIBILITY_TOLERANCE of the floor), or 0.5
-    bps/Hz above r*.  The harvesters weigh 1 each, or "close" weights
-    rho_max / rho_k U(0.97, 1) (rho under unit weights) bring their
-    priorities within a few percent of each other, so that a slot below
-    the top priority often is a leftover candidate."""
+    """K = 0-4 harvesters at 0.015-0.3 Z, M = 1-3 decoders at 1.05-1.3 Z (K
+    and M drawn from `k` and `m`, at least one receiver), P0 20-44 dBm, and a floor of 0, one in
+    (0, FEASIBILITY_TOLERANCE] ("tiny"), a drawn 5-95% of the deployment's
+    maximum sum-rate r* (0 without a decoder), r* - 5e-8 (at least 0) or
+    r* + 5e-8 (where the decoder-only start is `Optimal` within
+    FEASIBILITY_TOLERANCE of the floor), or 0.5 bps/Hz above r*.  The
+    harvesters weigh 1 each, or "close" weights rho_max / rho_k U(0.97, 1)
+    (rho under unit weights) bring their priorities within a few percent of
+    each other, so that a slot below the top priority often is a leftover
+    candidate."""
 
     def rx(lo, hi):
         theta = draw(st.floats(-0.8, 0.8))
         return Receiver(PolarLocation(theta, draw(st.floats(lo, hi)) * PRUNE_Z))
 
     k, m = draw(k), draw(m)
+    assume(k or m)
     scn = Scenario(
         eh_receivers=tuple(rx(0.015, 0.3) for _ in range(k)),
         id_receivers=tuple(rx(1.05, 1.3) for _ in range(m)),
@@ -618,11 +621,14 @@ def pruning_cases(draw, k=st.integers(0, 4), m=st.integers(1, 3), floors=FLOORS)
         scn = dataclasses.replace(scn, eh_receivers=eh)
         mats = build_matrices(PRUNE_CFG, scn)
     floor = draw(st.sampled_from(floors))
-    if floor != "zero":
-        r_star = fp_rate_max(mats, scn).r_star
+    if floor == "tiny":
+        tiny = draw(st.floats(0.0, FEASIBILITY_TOLERANCE, exclude_min=True))
+        scn = dataclasses.replace(scn, rate_floor=tiny)
+    elif floor != "zero":
+        r_star = fp_rate_max(mats, scn).r_star if m else 0.0
         rate_floor = {
             "drawn": draw(st.floats(0.05, 0.95)) * r_star,
-            "below_edge": r_star - 5e-8,
+            "below_edge": max(r_star - 5e-8, 0.0),
             "above_edge": r_star + 5e-8,
             "above": r_star + 0.5,
         }[floor]
@@ -674,6 +680,9 @@ def test_pruning_changes_no_answer(case):
     if want is None:
         assert got.status is SolveStatus.INFEASIBLE
         assert not got.allocation.powers.any()
+        # the search states the full schedule's r*, when that solve has one
+        full = reports["1" * mats.n_slots]
+        assert got.residuals.get("r_star") == full.residuals.get("r_star")
     else:
         assert got.status is SolveStatus.OPTIMAL
         assert float(got.objective).hex() == float(want[0]).hex()
@@ -688,10 +697,12 @@ def test_pruning_changes_no_answer(case):
         report = reports.get(bits)
         if outcome == "pruned":
             assert report.status is not SolveStatus.OPTIMAL or report.objective < got.objective
+        elif outcome == "skipped":
+            assert report.status is SolveStatus.INFEASIBLE
         elif outcome == "retraced":
             assert report_bits(report) == report_bits(reports["1" * mats.n_slots])
             assert line.endswith(f"-> retraced {report.status.value} objective={report.objective}")
-        elif outcome not in ("empty", "skipped"):
+        elif outcome != "empty":
             assert line.endswith(f"-> {report.status.value} objective={report.objective}")
             outcome = "solved"
         outcomes.setdefault(outcome, []).append(bits)
@@ -704,6 +715,32 @@ def test_pruning_changes_no_answer(case):
     if want is not None:
         spent = outcomes.get("solved", []) + outcomes.get("retraced", [])
         assert got.iterations == sum(reports[bits].iterations for bits in spent)
+
+
+# the harvesters alone under a floor that binds nothing: every scheme that
+# runs is `Optimal`
+@example(drawn_case([[0.3, 0.1], [-0.4, 0.2]], [], 30.0, 5e-8))
+@settings(max_examples=100)
+@given(
+    pruning_cases(m=st.integers(0, 3), floors=("zero", "tiny", "drawn", "below_edge", "above_edge"))
+)
+def test_oracle_dominates_the_optimizing_schemes(case):
+    # `exhaustive` maximizes over the `sca_solve` reports of every schedule,
+    # among them the full one (`proposed`), the decoders (`far_field_swipt`)
+    # and the greedy pair (`gs_opa`), so it is `Optimal` whenever one of them
+    # is, with an objective at least theirs, compared exactly
+    mats, scn = case
+    oracle = run_scheme(SchemeId.EXHAUSTIVE, mats, scn)
+    schemes = [SchemeId.PROPOSED]
+    if mats.n_id:
+        schemes.append(SchemeId.FAR_FIELD_SWIPT)
+        if mats.n_eh:
+            schemes.append(SchemeId.GS_OPA)
+    for scheme in schemes:
+        report = run_scheme(scheme, mats, scn)
+        if report.status is SolveStatus.OPTIMAL:
+            assert oracle.status is SolveStatus.OPTIMAL, scheme
+            assert oracle.objective >= report.objective, scheme
 
 
 def least_power_by_active_sets(noise, rate):
@@ -751,7 +788,7 @@ def test_objective_bound_covers_every_report(case):
     rate = scn.rate_floor - 2.0 * FEASIBILITY_TOLERANCE
     for mask in _schedules(mats.n_slots):
         decoders = mask[k:]
-        if not mask.any() or (scn.rate_floor > 0 and not decoders.any()):
+        if not mask.any() or (scn.rate_floor > FEASIBILITY_TOLERANCE and not decoders.any()):
             continue
         least = _least_decoder_power(mats, scn, decoders)
         if rate > 0:
