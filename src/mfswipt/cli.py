@@ -108,6 +108,14 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+def _print(line: str) -> None:
+    """Print a line on stdout; an early close of stdout is not a failure."""
+    try:
+        print(line)
+    except BrokenPipeError:
+        _discard_stdout()
+
+
 def _write_rows(
     path: str | None, rows: list[ResultRow], header_meta: dict, trailer: list[str] = ()
 ) -> None:
@@ -133,7 +141,7 @@ def _cmd_check(args) -> int:
     cfg, scn = parse_scenario(args.scenario)
     _solver_options(scn)  # reject the solver block as `solve` and `sweep` would
     z = rayleigh_distance(cfg)
-    print(
+    _print(
         f"ok: N={cfg.n_antennas} f={cfg.carrier_freq/1e9:g} GHz Z={z:.3f} m "
         f"r_min={fresnel_min_distance(cfg):.3f} m K={scn.n_eh} M={scn.n_id} "
         f"P0={watts_to_dbm(scn.p0):g} dBm R={scn.rate_floor:g} bps/Hz "
@@ -224,7 +232,8 @@ def _error_grid_text(thetas, radii, exact, approx) -> str:
 def _cmd_correlate(args) -> int:
     cfg, scn = parse_scenario(args.scenario)
     prefix = Path(args.output_prefix)
-    _check_writable(f"{prefix}_matrices.csv")
+    for name in ("matrices", "error_grid"):
+        _check_writable(f"{prefix}_{name}.csv")
     mats = build_matrices(cfg, scn)
     z = rayleigh_distance(cfg)
 
@@ -253,7 +262,7 @@ def _cmd_correlate(args) -> int:
 
     with open(f"{prefix}_error_grid.csv", "w", newline="") as fh:
         fh.write(_error_grid_text(thetas, radii, exact, approx))
-    print(f"wrote {prefix}_matrices.csv and {prefix}_error_grid.csv")
+    _print(f"wrote {prefix}_matrices.csv and {prefix}_error_grid.csv")
     return EXIT_OK
 
 

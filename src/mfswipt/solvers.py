@@ -18,30 +18,24 @@ Solvers provided:
   rule decides the rate floor R here and in `benchmarks`: R binds only when
   R > FEASIBILITY_TOLERANCE, and a sum-rate meets R when it reaches
   R - FEASIBILITY_TOLERANCE, so a floor further above the maximum sum-rate
-  of `fp_rate_max` is infeasible.  One solve builds its view of all K+M
-  slots once (the schedule only marks which may take power), and each
-  round's search for the rate price starts at the previous round's optimal
-  price and takes safeguarded Newton steps on the bound's closed-form slope,
-  so a round spends about six Lagrangian maximizations.  The starting price
-  and the steps move only last bits inside the round's certified duality
-  gap.  The Lagrangian maximizer runs on Python floats: a round has a
-  handful of active slots, where numpy's per-call overhead outweighs the
-  arithmetic.  It repeats the array arithmetic operation for operation, its
-  sums over the decoders run left to right as numpy's do below 8 elements,
-  and the dot products stay in numpy (BLAS does not sum in order), so the
-  bits are those of the array form.  A schedule under a floor that binds
+  of `fp_rate_max` is infeasible.  A schedule under a floor that binds
   nothing or with at most one decoder (the paper's harvester-only and
-  single-decoder cases) is a linear program, which `sca_solve` solves
-  exactly by comparing its vertices, with no rounds.
+  single-decoder cases) is a linear program, solved exactly by comparing
+  its vertices, with no rounds.  One solve builds its view of all K+M slots
+  once (the schedule marks which may take power), and a round spends about
+  five Lagrangian maximizations (`_solve_round`).  The rounds and the
+  water-filling of `fp_rate_max` run on Python floats, as a solve has a
+  handful of active slots and numpy's per-call overhead would outweigh the
+  arithmetic.  They repeat the array form operation for operation, with the
+  dot and matrix products and the logarithms left in numpy (BLAS and SIMD
+  do not round as a loop does), so the bits are the array form's.
 * `exhaustive_search` - the best `sca_solve` report over all 2^(K+M)
   schedules, the benchmark oracle.  A schedule that provably repeats the
   full schedule's solve (by that report's `leftover`) takes its report, a
   schedule whose objective bound (from the interference-free power its
-  decoders need) cannot beat the incumbent is pruned.
-
-Inside `_shared_full_solve`, which `benchmarks.run_sweep` opens around each
-grid point, the `proposed` scheme and the search's first schedule share one
-full-schedule solve (see `_full_solve`).
+  decoders need) cannot beat the incumbent is pruned.  Inside
+  `_shared_full_solve`, which `benchmarks.run_sweep` opens around each grid
+  point, it shares its full-schedule solve with `proposed` (`_full_solve`).
 
 Every solver accepts an optional boolean `mask` pinning the complementary
 slots to zero power; unscheduled harvesters still collect leakage in the
@@ -276,17 +270,14 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
     F converges slowly where the optimum switches a decoder off, so it is
     accelerated by SQUAREM (Varadhan & Roland, 2008): from x0 take
     x1 = F(x0) and x2 = F(x1), form r = x1 - x0 and v = x2 - 2 x1 + x0, and
-    extrapolate to x0 - 2 alpha r + alpha^2 v with alpha = -|r| / |v|.  The
-    extrapolated point has its negative entries clamped to 0 and is
-    rescaled onto the budget (the sum-rate rises with a common power
-    scale), and it replaces x2 only if its sum-rate is at least that of x2,
-    so the sum-rate never decreases.  The iteration stops when one plain
-    step F from the accepted point changes the sum-rate by at most
-    FP_TOLERANCE relative, and returns that step's result, unless one
-    decoder alone at the whole budget reaches a higher sum-rate, in which case
-    the best such vertex is returned.  At the returned allocation gamma
-    equals the achieved SINR exactly.  `iterations` counts the evaluations
-    of F.
+    extrapolate to x0 - 2 alpha r + alpha^2 v with alpha = -|r| / |v|,
+    clamped to x >= 0 and rescaled onto the budget (the sum-rate rises with
+    a common power scale).  That point replaces x2 only if its sum-rate is
+    at least that of x2.  The iteration stops when one plain step F from the
+    accepted point changes the sum-rate by at most FP_TOLERANCE relative,
+    and returns that step's result, or the best decoder alone at the whole
+    budget where that rates higher.  gamma is the achieved SINR there, and
+    `iterations` counts the evaluations of F.
     """
     mask = _full_mask(mats, mask)
     if not mask[mats.n_eh :].any():
@@ -296,15 +287,11 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
     g, s2, p0 = mats.g_id[act], np.array(scenario.sigma2)[act], scenario.p0
     eta = mats.lambda_masked[np.ix_(slots, slots)]
 
-    def signal_interference(x):
-        return g * x, g * (eta @ x) + s2
+    def point(x):  # x, its signals A, interference-plus-noise B and sum-rate
+        a, b = g * x, g * (eta @ x) + s2
+        return x, a, b, float(np.log2(1.0 + a / b).sum())
 
-    def rate(x):
-        a, b = signal_interference(x)
-        return float(np.log2(1.0 + a / b).sum())
-
-    def step(x):
-        a, b = signal_interference(x)
+    def step(a, b):
         gamma = a / b
         z = np.sqrt((1.0 + gamma) * a) / (a + b)
         u = z * np.sqrt((1.0 + gamma) * g)
@@ -312,45 +299,39 @@ def fp_rate_max(mats: CorrelationMatrices, scenario: Scenario, mask=None) -> Rat
         # into the other decoders' denominators
         w = (z**2) * g + (z**2 * g) @ eta
         x_free = (u / np.maximum(w, 1e-300)) ** 2
-        return x_free if x_free.sum() <= p0 else _water_fill(u, w, p0)
+        return point(x_free if x_free.sum() <= p0 else _water_fill(u, w, p0))
 
-    x = np.full(len(act), p0 / len(act))
-    r = rate(x)
+    x, a, b, r = point(np.full(len(act), p0 / len(act)))
     iters = 0
     while iters < MAX_FP_ITERS:
-        x1 = step(x)
-        r1 = rate(x1)
+        x1, a1, b1, r1 = step(a, b)
         iters += 1
         if abs(r1 - r) <= FP_TOLERANCE * max(1.0, abs(r)):
-            x, r = x1, r1
+            x, a, b, r = x1, a1, b1, r1
             break
-        x2 = step(x1)
-        r2 = rate(x2)
+        x2, a2, b2, r2 = step(a1, b1)
         iters += 1
         d1, d2 = x1 - x, x2 - 2.0 * x1 + x
-        curvature = float(np.linalg.norm(d2))
+        curvature = math.sqrt(float(d2 @ d2))  # np.linalg.norm, as it computes it
         if curvature > 0.0:
-            alpha = -float(np.linalg.norm(d1)) / curvature
+            alpha = -math.sqrt(float(d1 @ d1)) / curvature
             xe = np.maximum(x - 2.0 * alpha * d1 + alpha * alpha * d2, 0.0)
             total = float(xe.sum())
             if total > 0.0:
                 xe *= p0 / total
-                re = rate(xe)
-                if re >= r2:
-                    x2, r2 = xe, re
-        x, r = x2, r2
+                ext = point(xe)
+                if ext[3] >= r2:
+                    x2, a2, b2, r2 = ext
+        x, a, b, r = x2, a2, b2, r2
 
     # the map can stall at a saddle that splits power between decoders which
     # interfere fully (coincident decoders); a single decoder at full power
     # then rates higher
-    for m in range(len(act)):
-        vertex = np.zeros(len(act))
-        vertex[m] = p0
-        r_vertex = rate(vertex)
-        if r_vertex > r:
-            x, r = vertex, r_vertex
+    for unit in np.eye(len(act)):
+        corner = point(p0 * unit)
+        if corner[3] > r:
+            x, a, b, r = corner
 
-    a, b = signal_interference(x)
     y = np.zeros(mats.n_slots)
     y[slots] = x
     return RateMaxResult(r_star=r, allocation=PowerAllocation(y), gamma=a / b, iterations=iters)
@@ -363,18 +344,35 @@ def _water_fill(u: np.ndarray, w: np.ndarray, p0: float) -> np.ndarray:
     S^-1/2 is concave and increasing in lam (linear for one slot), so Newton
     on it rises monotonically to the root from the lower bound
     max_i(u_i / sqrt(P0) - w_i), where one slot alone spends the budget; it
-    stops once a step no longer raises lam.
+    stops once a step no longer raises lam.  It runs on Python floats, its
+    sums in numpy's order, so the bits are those of the array form.
     """
-    lam = max(0.0, float((u / math.sqrt(p0) - w).max()))
+    u, w = u.tolist(), w.tolist()
+    lam = max(0.0, max([ui / math.sqrt(p0) - wi for ui, wi in zip(u, w)]))
     for _ in range(100):
-        den = np.maximum(w + lam, 1e-300)
-        x = (u / den) ** 2
-        s = float(x.sum())
-        step = s * (math.sqrt(s / p0) - 1.0) / float((x / den).sum())
+        den = [max(wi + lam, 1e-300) for wi in w]
+        x = [q * q for q in (ui / di for ui, di in zip(u, den))]
+        s = _numpy_sum(x)
+        step = s * (math.sqrt(s / p0) - 1.0) / _numpy_sum([xi / di for xi, di in zip(x, den)])
         if not lam + step > lam:
             break
         lam += step
-    return x * (p0 / s)
+    return np.array(x) * (p0 / s)
+
+
+def _numpy_sum(values: list) -> float:
+    """Sum of floats in the order of numpy's pairwise `sum` (left to right below
+    8 terms, 8 running sums to 128, halves beyond), and so with its bits."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+    if n < 8:
+        return _ordered_sum(values)
+    m = n - n % 8
+    r = [_ordered_sum(values[j:m:8]) for j in range(8)]
+    pairs = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return _ordered_sum([pairs, *values[m:]])
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +408,17 @@ class _BoundModel:
 
     def __init__(self, red: _Reduced, s: np.ndarray, i: np.ndarray):
         a, b, c0 = _bound_coeffs(s, i)
-        alpha = a / red.gain
-        on = alpha > 0
-        free = red.mask.copy()
-        free[red.pos[on]] = False
-        self.pos = red.pos[on].tolist()
-        self.alpha = alpha[on].tolist()
-        self.free = np.flatnonzero(free).tolist()
+        on = [(q, al) for q, al in zip(red.pos.tolist(), (a / red.gain).tolist()) if al > 0]
+        self.pos = [q for q, _ in on]
+        self.alpha = [al for _, al in on]
+        self.free = [q for q, m in enumerate(red.mask.tolist()) if m and q not in self.pos]
         self.c_vec = b @ red.brow
         self.c = self.c_vec.tolist()
-        self.const = float((c0 + a * s + b * (i - red.sigma2)).sum())
+        terms = zip(c0.tolist(), a.tolist(), s.tolist(), b.tolist(), (i - red.sigma2).tolist())
+        self.const = _numpy_sum([cj + aj * sj + bj * ij for cj, aj, sj, bj, ij in terms])
 
-    def value(self, x: np.ndarray) -> float:
-        xs = x.tolist()
+    def value(self, x: np.ndarray, xs: list | None = None) -> float:
+        xs = x.tolist() if xs is None else xs  # xs is x as a list, where the caller has it
         # summed left to right, as numpy sums below 8 elements; a decoder
         # power that underflowed to 0 makes G = -inf
         inverse = 0.0
@@ -434,10 +430,10 @@ class _BoundModel:
 
 def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
     """Maximize w @ x + nu G(x) over 1'x <= P0, x >= 0, for a rate price nu > 0.
-    Returns (x, p, full): p is the free slot of best positive reduced cost,
-    or None, and full tells whether the decoders spend the whole budget.  p
-    takes the leftover budget unless they do; either way its price bounds
-    theirs, so p shapes x.  Every other free slot has exactly 0 W.
+    Returns (x, p, full): x a list of slot powers, p the free slot of best
+    positive reduced cost, or None, and full whether the decoders spend the
+    whole budget.  p takes the leftover budget unless they do; either way its
+    price bounds theirs, so p shapes x.  Every other free slot has exactly 0 W.
 
     With tau the budget price, decoder slot q takes sqrt(nu alpha_q / beta_q),
     beta_q = tau + nu c_q - w_q.  The free slots are linear: the leftover
@@ -450,13 +446,8 @@ def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
     beta0 (linear for one decoder), so the iterates rise monotonically to the
     root from the lower bound nu alpha_q0 / P0^2.
 
-    The search runs on Python floats, element by element: a round has at
-    most a few active slots, where each numpy call would cost more than its
-    arithmetic.  Every step is the same correctly rounded IEEE operation, in
-    the same order, as the array form, and the sums over the decoders run
-    left to right as numpy's do below 8 elements, so the result has the same
-    bits (from 8 decoders on numpy sums pairwise; the two then agree to the
-    last few bits).  The weights w come as a list of floats.
+    It runs on Python floats, the weights w as a list; its sums run left to
+    right, numpy's order below 8 decoders (from 8 on they agree to rounding).
     """
     pos, free, c = model.pos, model.free, model.c
     d = [wq - nu * cq for wq, cq in zip(w, c)]
@@ -470,7 +461,7 @@ def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
     if not pos:  # G is affine: a linear program over the budget
         if p is not None:
             x[p] = p0
-        return np.array(x), p, False
+        return x, p, False
     d_pos = [d[q] for q in pos]
     j0 = d_pos.index(max(d_pos))
     q0 = pos[j0]
@@ -480,27 +471,34 @@ def _lagrangian_argmax(model: _BoundModel, w: list, nu: float, p0: float):
     beta_h = (w[p] - w0) - nu * (c[p] - c0) if p is not None else -d[q0]
     beta = max(beta_h, num[j0] / p0**2)
     if not beta > 0.0:  # nu alpha_q0 underflowed: no finite maximizer at this price
-        return np.full(len(w), math.nan), p, False
-    t = [math.sqrt(n / (beta + e)) for n, e in zip(num, delta)]
-    s = _ordered_sum(t)
-    if s > p0 or beta > beta_h:  # the decoders spend the whole budget
-        for _ in range(100):
-            slope = _ordered_sum([tj / (beta + e) for tj, e in zip(t, delta)])
-            step = s * ((s / p0) ** 2 - 1.0) / slope
-            if not beta + step > beta:
-                break
-            beta += step
-            t = [math.sqrt(n / (beta + e)) for n, e in zip(num, delta)]
-            s = _ordered_sum(t)
+        return [math.nan] * len(w), p, False
+    full = None
+    for steps in range(101):
+        t, s, slope = [], 0.0, 0.0  # t, its sum, the Newton slope sum_q t_q / (beta + delta_q)
+        for n, e in zip(num, delta):
+            den = beta + e
+            tj = math.sqrt(n / den)
+            t.append(tj)
+            s += tj
+            slope += tj / den
+        if full is None:  # the decoders spend the whole budget
+            full = s > p0 or beta > beta_h
+        if not full or steps == 100:
+            break
+        step = s * ((s / p0) ** 2 - 1.0) / slope
+        if not beta + step > beta:
+            break
+        beta += step
+    if full:
         ratio = p0 / s
         for q, tj in zip(pos, t):
             x[q] = tj * ratio
-        return np.array(x), p, True
+        return x, p, True
     for q, tj in zip(pos, t):
         x[q] = tj
     if p is not None:
         x[p] = p0 - s
-    return np.array(x), p, False
+    return x, p, False
 
 
 def _bound_slope(model: _BoundModel, x: list, w: list, nu: float, p, full: bool) -> float:
@@ -526,14 +524,12 @@ def _bound_slope(model: _BoundModel, x: list, w: list, nu: float, p, full: bool)
     try:
         r = [x[q] ** 3 / (nu * a) for a, q in zip(model.alpha, pos)]
         if full:
-            b = _ordered_sum(rq * w[q] for rq, q in zip(r, pos)) / _ordered_sum(r)
-        elif p is not None:
-            b = w[p]
+            b = _ordered_sum([rq * w[q] for rq, q in zip(r, pos)]) / _ordered_sum(r)
         else:
-            b = 0.0
+            b = w[p] if p is not None else 0.0
     except (ZeroDivisionError, OverflowError):
         return math.nan
-    return _ordered_sum(rq * (b - w[q]) ** 2 for rq, q in zip(r, pos)) / (2.0 * nu)
+    return _ordered_sum([rq * (b - w[q]) ** 2 for rq, q in zip(r, pos)]) / (2.0 * nu)
 
 
 # step past the root of G(x(nu)) - floor, in log nu, that makes a Newton
@@ -542,15 +538,18 @@ NEWTON_PUSH = 1e-9
 
 
 def _solve_round(
-    model: _BoundModel, w: np.ndarray, floor: float, p0: float, price: float = 0.0
+    model: _BoundModel, w: np.ndarray, floor: float, p0: float, price: float = 0.0, start=None
 ) -> tuple[np.ndarray, int, float, float, set]:
     """Maximize w @ x subject to G(x) >= floor, 1'x <= P0 and x >= 0, exactly.
     Returns (x, evaluations, rate price, bound slack, leftover candidates):
-    the Lagrangian evaluations spent, the price nu and G - floor at the
+    the Lagrangian evaluations that ran, the price nu and G - floor at the
     feasible end of the final bracket (the price tends to 0 when the floor
-    does not bind), and the set of slots p that `_lagrangian_argmax` returned
-    in any evaluation.  Every other free slot ends at exactly 0 W and never
-    shaped an evaluation.
+    does not bind), and the slots p that `_lagrangian_argmax` returned in
+    any evaluation; every other free slot ends at 0 W and shaped none.
+
+    The first evaluation is G's maximizer (zero weights), which must clear the
+    floor by 1e-9 max(1, |floor|) or NoFeasibleInterior is raised; it is
+    skipped where G at `start`, the expansion point in the budget, clears it.
 
     G(x(nu)) at the Lagrangian maximizer x(nu) is non-decreasing in the rate
     price nu, so a safeguarded search on t = log nu finds the optimal price.
@@ -579,14 +578,17 @@ def _solve_round(
     numpy dots, whose summation order the bits of the stopping test depend
     on; the candidate's product is the same combination of theirs.
     """
-    if not w.max() > 0:
-        w = -np.ones(len(w))
     weights = w.tolist()
-    top, _, _ = _lagrangian_argmax(model, [0.0] * len(weights), 1.0, p0)  # maximizes G
-    if not model.value(top) > floor + 1e-9 * max(1.0, abs(floor)):
-        raise NoFeasibleInterior("rate floor is tight at the current linearization")
+    if not max(weights) > 0:
+        w, weights = -np.ones(len(w)), [-1.0] * len(w)
+    margin = floor + 1e-9 * max(1.0, abs(floor))
+    searched = start is None or not model.value(start) > margin
+    if searched:
+        top, _, _ = _lagrangian_argmax(model, [0.0] * len(weights), 1.0, p0)  # maximizes G
+        if not model.value(np.array(top), top) > margin:
+            raise NoFeasibleInterior("rate floor is tight at the current linearization")
 
-    scale = float(np.abs(w).max()) * p0
+    scale = max(map(abs, weights)) * p0
     t = math.log(price if price > 0 else scale)  # log nu
     # G >= floor (True) or not -> [log nu, G - floor, x, interpolation weight,
     # nu, w @ x, the dual bound w @ x + nu (G - floor)]
@@ -594,12 +596,13 @@ def _solve_round(
     leftover = set()
     side = hi = None
     older = last = math.inf  # lengths of the two latest moves in t
-    for evals in range(2, 202):  # evaluation 1 was `top`
+    for evals in range(1, 201):
         nu = math.exp(t)
-        x, p, full = _lagrangian_argmax(model, weights, nu, p0)
+        xs, p, full = _lagrangian_argmax(model, weights, nu, p0)
         if p is not None:
             leftover.add(p)
-        phi = model.value(x) - floor
+        x = np.array(xs)
+        phi = model.value(x, xs) - floor
         if (phi >= 0) == side and (not side) in ends:
             ends[not side][3] *= 0.5  # Illinois: the same end moved twice
         side = phi >= 0
@@ -617,7 +620,7 @@ def _solve_round(
             if bound - w_best <= 1e-12 * scale:
                 break
         t_now = t
-        slope = _bound_slope(model, x.tolist(), weights, nu, p, full)
+        slope = _bound_slope(model, xs, weights, nu, p, full)
         newton = t - phi / slope + NEWTON_PUSH if slope > 0 else math.nan
         left = lo[0] if lo is not None else t - math.log(16.0)
         right = hi[0] if hi is not None else t + math.log(16.0)
@@ -635,7 +638,7 @@ def _solve_round(
     if hi is None:
         raise SolverNumericalError("no rate price meets the floor")
     best = hi[2] if lo is None else hi[2] + share * (lo[2] - hi[2])
-    return best, evals, hi[4], hi[1], leftover
+    return best, evals + searched, hi[4], hi[1], leftover
 
 
 def inner_convex(
@@ -664,7 +667,7 @@ def inner_convex(
     `rate_price` > 0 warm-starts the dual search there (see `_solve_round`);
     it moves only last bits inside the search's certified gap.  A `stats`
     dict, when given, receives "dual_evals", the number of Lagrangian
-    maximizations the round spent, "rate_price", the round's optimal rate
+    maximizations that ran in the round, "rate_price", the round's optimal rate
     price (near 0 when the floor does not bind), "bound_slack", G - R at the
     feasible end of the final bracket, and "leftover", the round's leftover
     candidates: each maximization's free slot of best positive reduced cost
@@ -673,17 +676,16 @@ def inner_convex(
     if red is None:
         red = _Reduced(mats, scenario, mask)
     x = np.where(red.mask, np.asarray(y, dtype=float), 0.0)  # a pinned slot has no power
-    with np.errstate(divide="ignore"):
-        s = 1.0 / red.signal(x)
+    s = [1.0 / a if a else math.inf for a in red.signal(x).tolist()]
     i = red.interference(x)
-    for m, s_m, i_m in zip(red.act_ids, s, i):
+    for m, s_m, i_m in zip(red.act_ids.tolist(), s, i.tolist()):
         if not (math.isfinite(s_m) and math.isfinite(i_m)):
             raise NoFeasibleInterior(
                 f"decoder {m} has a non-finite linearization slack (S={s_m}, I={i_m}): it has no power"
             )
-    model = _BoundModel(red, s, i)
+    model = _BoundModel(red, np.array(s), i)
     x, evals, price, slack, leftover = _solve_round(
-        model, red.w, red.rate_floor, red.p0, rate_price
+        model, red.w, red.rate_floor, red.p0, rate_price, x
     )
     if stats is not None:
         stats.update(dual_evals=evals, rate_price=price, bound_slack=slack, leftover=leftover)
@@ -748,11 +750,9 @@ def sca_solve(
     touches the true rate there, so the objective trace is non-decreasing;
     the loop stops when the fractional increase falls under the threshold.
 
-    Every round works on all K+M slots, a schedule only removing slots from
-    those that may take power, so pinning a slot that was never a leftover
-    candidate (see `_lagrangian_argmax`) leaves the iterates as they were.
-    The report's `leftover` holds the candidates of every round, which
-    `exhaustive_search` reads from the full schedule's report (see there).
+    Every round works on all K+M slots, so pinning a slot that was never a
+    leftover candidate (`_lagrangian_argmax`) leaves the iterates as they
+    were; the report's `leftover` holds every round's candidates.
     """
     mask = _full_mask(mats, mask)
     if scenario.rate_floor <= FEASIBILITY_TOLERANCE or np.count_nonzero(mask[mats.n_eh :]) <= 1:

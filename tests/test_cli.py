@@ -537,6 +537,23 @@ class TestSweep:
         assert err == b""
         assert proc.returncode == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["check", "correlate"])
+    def test_closed_pipe_with_unbuffered_stdout(self, tmp_path, command):
+        # the reader is gone before the child writes and stdout is unbuffered,
+        # so the last line of `check` or `correlate` meets the closed pipe in
+        # the command itself, not in `main`'s final flush
+        argv = [command, BUNDLED]
+        if command == "correlate":
+            argv += ["--output-prefix", str(tmp_path / "corr"), "--grid-points", "4"]
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        proc = subprocess.Popen(cli_command(*argv), stdout=write_fd, stderr=subprocess.PIPE, env=env)
+        os.close(write_fd)
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == EXIT_OK
+
 
 class TestCorrelate:
     def test_output_in_missing_directory(self, tmp_path, capsys, monkeypatch):
@@ -544,6 +561,18 @@ class TestCorrelate:
         prefix = tmp_path / "nodir" / "corr"
         argv = ["correlate", BUNDLED, "--output-prefix", str(prefix), "--grid-points", "4"]
         assert_unwritable(tmp_path, capsys, argv, f"{prefix}_matrices.csv")
+
+    def test_error_grid_path_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        # both output paths are checked before any work, so the matrices file
+        # is not left behind
+        monkeypatch.setattr("mfswipt.cli.correlation_grid", no_work)
+        prefix = tmp_path / "corr"
+        grid = tmp_path / "corr_error_grid.csv"
+        grid.mkdir()
+        argv = ["correlate", BUNDLED, "--output-prefix", str(prefix), "--grid-points", "4"]
+        assert main(argv) == EXIT_BAD_INPUT
+        assert f"cannot write {grid}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [grid]
 
     def test_writes_matrices_and_error_grid(self, tmp_path):
         prefix = tmp_path / "corr"

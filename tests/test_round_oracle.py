@@ -6,9 +6,11 @@ for bit, on random bound models; the closed-form slope of the bound along
 the maximizers against finite differences, and the warm-started price search
 against the cold one, on random bound models; a round whose optimum is
 the top-priority decoder alone at the budget, found by the general price
-search; the accelerated `fp_rate_max` against the plain fixed point in
-`fp_oracle.py` on random geometries; and the Newton water-filling step of
-`fp_rate_max` against bisection."""
+search; a round whose expansion point clears the floor against the same
+round searched from the bound's maximizer; the accelerated `fp_rate_max`
+against the plain fixed point in `fp_oracle.py` on random geometries; and
+the Newton water-filling step of `fp_rate_max` against bisection, and
+against its numpy array form in `water_fill_oracle.py` bit for bit."""
 
 import dataclasses
 import itertools
@@ -24,6 +26,7 @@ from barrier_oracle import barrier_round
 from conftest import achieved_sinr, random_geometry_instance
 from dual_oracle import lagrangian_argmax
 from fp_oracle import DecoderProblem, water_fill_by_bisection
+from water_fill_oracle import water_fill
 from mfswipt import (
     CorrelationMatrices,
     NoFeasibleInterior,
@@ -39,6 +42,7 @@ from mfswipt.solvers import (
     _bound_slope,
     _BoundModel,
     _lagrangian_argmax,
+    _numpy_sum,
     _Reduced,
     _solve_round,
     _water_fill,
@@ -193,7 +197,7 @@ def test_float_dual_search_matches_array_form_bits(case):
     model, w, nu, p0 = case
     got, _, _ = _lagrangian_argmax(model, w.tolist(), nu, p0)
     want = lagrangian_argmax(model, w, nu, p0)
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
 
 
 @given(case=bound_models(st.integers(8, 10)))
@@ -208,7 +212,7 @@ def test_float_dual_search_matches_array_form_many_decoders(case):
 def bound_along_price(model, w, p0, nu):
     """G(x(nu)) at the Lagrangian maximizer, with the maximizer's regime."""
     x, p, full = _lagrangian_argmax(model, w.tolist(), nu, p0)
-    return model.value(x), x, (p, full)
+    return model.value(np.array(x)), x, (p, full)
 
 
 @given(case=bound_models(st.integers(1, 5)))
@@ -228,7 +232,7 @@ def test_bound_slope_matches_finite_difference(case):
         assume(regime_up == regime == regime_down)
         diffs.append((g_up - g_down) / (2 * step))
     fd = (4 * diffs[1] - diffs[0]) / 3
-    slope = _bound_slope(model, x.tolist(), w.tolist(), nu, *regime)
+    slope = _bound_slope(model, x, w.tolist(), nu, *regime)
     # rounding of fd itself: G = const - sum alpha/x - c @ x, whose terms are
     # at most |const| + |G| in size
     rounding = 4 * 8 * np.finfo(float).eps * (abs(model.const) + abs(g0)) / h
@@ -283,6 +287,43 @@ def test_warm_started_round_agrees_with_cold_start(case, at_jump, offset):
     gap = abs(float(w_round @ warm[0]) - float(w_round @ cold[0]))
     rounding = 8 * np.finfo(float).eps * max(cold[2], warm[2]) * (abs(model.const) + abs(floor))
     assert gap <= 1e-12 * scale + rounding
+
+
+@given(case=bound_models(st.integers(1, 5)), up=st.floats(0.0, 3.0))
+def test_certified_start_skips_only_the_bound_maximizer(case, up):
+    # a start whose G clears the floor by the round's margin saves the
+    # evaluation of G's maximizer and changes no bit of the optimum, price,
+    # slack or leftover; a start that does not clear it changes nothing
+    model, w, nu, p0 = case
+    w_round = w if w.max() > 0 else -np.ones(len(w))
+    floor = bound_along_price(model, w_round, p0, nu)[0]
+    start = np.array(_lagrangian_argmax(model, w_round.tolist(), nu * 10.0**up, p0)[0])
+    assume(math.isfinite(floor) and math.isfinite(model.value(start)))
+    certified = model.value(start) > floor + 1e-9 * max(1.0, abs(floor))
+    try:
+        forced = _solve_round(model, w, floor, p0)
+    except NoFeasibleInterior:
+        assert not certified
+        with pytest.raises(NoFeasibleInterior):
+            _solve_round(model, w, floor, p0, 0.0, start)
+        return
+    skipped = _solve_round(model, w, floor, p0, 0.0, start)
+    assert skipped[0].tobytes() == forced[0].tobytes()
+    assert skipped[1] == forced[1] - certified
+    assert [v.hex() for v in skipped[2:4]] == [v.hex() for v in forced[2:4]]
+    assert skipped[4] == forced[4]
+
+
+@given(case=bound_models(st.integers(1, 5)))
+def test_tight_floor_still_raises_with_a_start(case):
+    # at the floor G reaches at its own maximizer, no start clears the
+    # margin, so the maximizer is evaluated and the round still raises
+    model, w, _, p0 = case
+    top = _lagrangian_argmax(model, [0.0] * len(w), 1.0, p0)[0]
+    tight = model.value(np.array(top))
+    assume(math.isfinite(tight))
+    with pytest.raises(NoFeasibleInterior):
+        _solve_round(model, w, tight, p0, 0.0, np.array(top))
 
 
 def two_harvester_round(coupling=0.05, rate_floor=4.0):
@@ -390,3 +431,21 @@ def test_water_fill_matches_bisection(u, w_scale, p0):
     w = w_scale * np.linspace(1.0, 2.0, len(u))
     assume(((u / w) ** 2).sum() > p0)  # the budget binds, so there is a price to find
     assert _water_fill(u, w, p0) == pytest.approx(water_fill_by_bisection(u, w, p0), rel=1e-12)
+
+
+@given(
+    u=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12),
+    w_scale=st.floats(1e-4, 1e2),
+    p0=st.floats(1e-2, 1e2),
+)
+def test_water_fill_matches_array_form_bits(u, w_scale, p0):
+    # 8 slots and more included: the float form sums in numpy's pairwise order
+    u = np.array(u)
+    w = w_scale * np.linspace(1.0, 2.0, len(u))
+    got, want = _water_fill(u, w, p0), water_fill(u, w, p0)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+@given(st.lists(st.floats(-1e6, 1e6), max_size=300))
+def test_numpy_sum_takes_numpy_order(values):
+    assert _numpy_sum(values) == float(np.array(values, dtype=float).sum())
