@@ -18,7 +18,7 @@ import numpy as np
 
 from .correlation import CorrelationMatrices, build_matrices
 from .geometry import ArrayConfig, PolarLocation, aod_to_spatial_angle, rayleigh_distance
-from .metrics import _ordered_sum
+from .metrics import _ordered_sum, weighted_sum_power
 from .scenario import Receiver, Scenario, dbm_to_watts, watts_to_dbm
 from .solvers import (
     FEASIBILITY_TOLERANCE,
@@ -27,7 +27,6 @@ from .solvers import (
     SolverOptions,
     _full_solve,
     _infeasible_report,
-    _objective,
     _report,
     _schedules,
     _shared_full_solve,
@@ -74,7 +73,7 @@ def _equal_split_report(
         return None
     p = scenario.p0 / count
     y = np.where(mask, p, 0.0)
-    if incumbent is not None and not _objective(mats, y) > incumbent:
+    if incumbent is not None and not weighted_sum_power(mats, y) > incumbent:
         return None
     floor = scenario.rate_floor
     if floor > FEASIBILITY_TOLERANCE:

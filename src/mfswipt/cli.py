@@ -9,6 +9,9 @@ Subcommands:
                    correlation error grid.
 * ``check``      - parse and validate a scenario file.
 
+Every subcommand reads its scenario and checks its ``solver:`` block once,
+before any work; ``_emit`` writes every output, to a file or to stdout.
+
 Exit codes: 0 solved (or any sweep row solved), 2 infeasible, 3 iteration
 limit, 4 usage, scenario/parse error or unwritable output path, 1 unexpected
 failure or any sweep error row.
@@ -21,6 +24,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import itertools
 import logging
 import math
@@ -108,51 +112,44 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def _print(line: str) -> None:
-    """Print a line on stdout; an early close of stdout is not a failure."""
+def _emit(text: str, path: str | None = None) -> None:
+    """Write text to the file at path, else to stdout, whose early close is
+    not a failure of the command."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return
     try:
-        print(line)
+        sys.stdout.write(text)
     except BrokenPipeError:
         _discard_stdout()
 
 
-def _write_rows(
-    path: str | None, rows: list[ResultRow], header_meta: dict, trailer: list[str] = ()
-) -> None:
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        meta = " ".join(f"{k}={v}" for k, v in header_meta.items())
-        out.write(f"# mfswipt v{__version__} {meta}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([_fmt(v) for v in _row_cells(row)] for row in rows)
-        for line in trailer:
-            out.write(f"# {line}\n")
-    except BrokenPipeError:
-        if path:
-            raise
-        _discard_stdout()  # an early close of stdout is not a failure of the command
-    finally:
-        if path:
-            out.close()
+def _table(rows: list[ResultRow], header_meta: dict, trailer: list[str] = ()) -> str:
+    """The result CSV: a header comment, the column names, one line per row
+    (``csv.writer`` quotes any cell that needs it) and a comment per trailer line."""
+    out = io.StringIO()
+    meta = " ".join(f"{k}={v}" for k, v in header_meta.items())
+    out.write(f"# mfswipt v{__version__} {meta}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_fmt(v) for v in _row_cells(row)] for row in rows)
+    out.writelines(f"# {line}\n" for line in trailer)
+    return out.getvalue()
 
 
-def _cmd_check(args) -> int:
-    cfg, scn = parse_scenario(args.scenario)
-    _solver_options(scn)  # reject the solver block as `solve` and `sweep` would
+def _cmd_check(args, cfg, scn, opts) -> int:
     z = rayleigh_distance(cfg)
-    _print(
+    _emit(
         f"ok: N={cfg.n_antennas} f={cfg.carrier_freq/1e9:g} GHz Z={z:.3f} m "
         f"r_min={fresnel_min_distance(cfg):.3f} m K={scn.n_eh} M={scn.n_id} "
         f"P0={watts_to_dbm(scn.p0):g} dBm R={scn.rate_floor:g} bps/Hz "
-        f"hash={scenario_hash(cfg, scn)}"
+        f"hash={scenario_hash(cfg, scn)}\n"
     )
     return EXIT_OK
 
 
-def _cmd_solve(args) -> int:
-    cfg, scn = parse_scenario(args.scenario)
-    opts = _solver_options(scn)
+def _cmd_solve(args, cfg, scn, opts) -> int:
     _check_writable(args.output)
     mats = build_matrices(cfg, scn)
     scheme = SchemeId(args.scheme)
@@ -163,12 +160,8 @@ def _cmd_solve(args) -> int:
         "none", math.nan, scheme.value, report, scn, wall if args.timing else None
     )
     alloc_str = " ".join(f"{p:.9e}" for p in report.allocation.powers)
-    _write_rows(
-        args.output,
-        [row],
-        {"scenario_sha256": scenario_hash(cfg, scn)},
-        trailer=[f"allocation_W: {alloc_str}"],
-    )
+    meta = {"scenario_sha256": scenario_hash(cfg, scn)}
+    _emit(_table([row], meta, trailer=[f"allocation_W: {alloc_str}"]), args.output)
     log.info("solve %s -> %s (%s)", scheme.value, report.status.value, args.output or "stdout")
     if report.status is SolveStatus.OPTIMAL:
         return EXIT_OK
@@ -183,23 +176,18 @@ def _cmd_solve(args) -> int:
     return EXIT_ITER_LIMIT
 
 
-def _cmd_sweep(args) -> int:
-    cfg, scn = parse_scenario(args.scenario)
-    opts = _solver_options(scn)
+def _cmd_sweep(args, cfg, scn, opts) -> int:
     _check_writable(args.output)
     grid = tuple(float(v) for v in args.grid.split(","))
     schemes = [SchemeId(s) for s in args.schemes.split(",")]
     spec = SweepSpec(args.variable, grid, seed=args.seed, record_timing=args.timing)
     rows = run_sweep(spec, cfg, scn, schemes, opts)
-    _write_rows(
-        args.output,
-        rows,
-        {
-            "seed": args.seed,
-            "scenario_sha256": scenario_hash(cfg, scn),
-            "variable": args.variable,
-        },
-    )
+    meta = {
+        "seed": args.seed,
+        "scenario_sha256": scenario_hash(cfg, scn),
+        "variable": args.variable,
+    }
+    _emit(_table(rows, meta), args.output)
     errors = [r.status for r in rows if r.status.startswith("Error:")]
     if errors:
         print(
@@ -229,8 +217,7 @@ def _error_grid_text(thetas, radii, exact, approx) -> str:
     return "".join(lines)
 
 
-def _cmd_correlate(args) -> int:
-    cfg, scn = parse_scenario(args.scenario)
+def _cmd_correlate(args, cfg, scn, opts) -> int:
     prefix = Path(args.output_prefix)
     for name in ("matrices", "error_grid"):
         _check_writable(f"{prefix}_{name}.csv")
@@ -252,17 +239,13 @@ def _cmd_correlate(args) -> int:
     radii = np.geomspace(fresnel_min_distance(cfg), 3.0 * z, args.grid_points)
     exact, approx = correlation_grid(cfg, ref, thetas, radii)
 
-    with open(f"{prefix}_matrices.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["matrix", "row", "col", "value"])
-        for name, mat in (("lambda_full", mats.lambda_full), ("lambda_masked", mats.lambda_masked)):
-            for i in range(mats.n_slots):
-                for j in range(mats.n_slots):
-                    writer.writerow([name, i, j, _fmt(float(mat[i, j]))])
-
-    with open(f"{prefix}_error_grid.csv", "w", newline="") as fh:
-        fh.write(_error_grid_text(thetas, radii, exact, approx))
-    _print(f"wrote {prefix}_matrices.csv and {prefix}_error_grid.csv")
+    lines = ["matrix,row,col,value\n"]
+    for name, mat in (("lambda_full", mats.lambda_full), ("lambda_masked", mats.lambda_masked)):
+        for i, values in enumerate(mat.tolist()):
+            lines += (f"{name},{i},{j},{_fmt(v)}\n" for j, v in enumerate(values))
+    _emit("".join(lines), f"{prefix}_matrices.csv")
+    _emit(_error_grid_text(thetas, radii, exact, approx), f"{prefix}_error_grid.csv")
+    _emit(f"wrote {prefix}_matrices.csv and {prefix}_error_grid.csv\n")
     return EXIT_OK
 
 
@@ -324,7 +307,8 @@ def _run(argv) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on misuse
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        cfg, scn = parse_scenario(args.scenario)
+        return args.func(args, cfg, scn, _solver_options(scn))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

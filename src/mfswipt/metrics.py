@@ -87,7 +87,8 @@ def eh_power(mats: CorrelationMatrices, y, k: int) -> float:
 
 
 def weighted_sum_power(mats: CorrelationMatrices, y) -> float:
-    """Weighted harvested sum-power; identical to sum(alpha_k * eh_power(k))."""
-    yv = _as_vector(y)
-    return float(mats.c_eh @ mats.lambda_masked @ yv)
+    """Weighted harvested sum-power, the objective of every solver: the
+    per-slot priorities (c_eh @ lambda_masked, cached) times y, which equals
+    sum(alpha_k * eh_power(k)) up to rounding."""
+    return float(mats.priorities @ _as_vector(y))
 

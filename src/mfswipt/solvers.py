@@ -58,7 +58,7 @@ from enum import Enum
 import numpy as np
 
 from .correlation import CorrelationMatrices
-from .metrics import PowerAllocation, _ordered_sum, sum_rate
+from .metrics import PowerAllocation, _ordered_sum, sum_rate, weighted_sum_power
 from .scenario import Scenario
 
 __all__ = [
@@ -224,7 +224,7 @@ def _report(
 ) -> SolveReport:
     """Report of allocation y: its objective, and its sum-rate measured on y
     itself.  The trace defaults to the objective alone."""
-    obj = _objective(mats, y)
+    obj = weighted_sum_power(mats, y)
     return SolveReport(
         allocation=PowerAllocation(y),
         objective=obj,
@@ -247,10 +247,6 @@ def _infeasible_report(mats: CorrelationMatrices, r_star: float | None = None) -
         residuals={} if r_star is None else {"r_star": r_star},
         iterations=0,
     )
-
-
-def _objective(mats: CorrelationMatrices, y: np.ndarray) -> float:
-    return float(mats.priorities @ y)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +759,7 @@ def sca_solve(
         return _infeasible_report(mats, r_star=best.r_star)
 
     y = best.allocation.powers.copy()
-    trace = [_objective(mats, y)]
+    trace = [weighted_sum_power(mats, y)]
     status = SolveStatus.ITER_LIMIT
     iterations = 0
     red = _Reduced(mats, scenario, mask)
@@ -779,7 +775,7 @@ def sca_solve(
             iterations -= 1
             break
         leftover |= stats["leftover"]
-        obj_new = _objective(mats, alloc.powers)
+        obj_new = weighted_sum_power(mats, alloc.powers)
         trace.append(obj_new)
         log.debug(
             "round %d objective=%s dual_evals=%d rate_price=%s bound_slack=%s",

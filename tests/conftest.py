@@ -155,6 +155,22 @@ def simplex_grid_best_rate(mats, scn, steps=2000):
     return best
 
 
+def simplex_grid_best_rate_3(mats, scn, steps=300):
+    """Best sum-rate over a grid of the three-decoder power splits at full
+    budget, (i, j, steps - i - j) / steps of P0, all evaluated at once.  Every
+    grid point is a feasible allocation, so the decoder-only maximum reaches
+    its value."""
+    assert mats.n_id == 3
+    k = mats.n_eh
+    i, j = np.meshgrid(np.arange(steps + 1), np.arange(steps + 1), indexing="ij")
+    keep = i + j <= steps
+    x = np.stack([i[keep], j[keep], steps - i[keep] - j[keep]], axis=1) * (scn.p0 / steps)
+    gain = np.asarray(mats.g_id, dtype=float)
+    leak = np.asarray(mats.lambda_masked, dtype=float)[k:, k:]  # harvesters stay off
+    sinr = gain * x / (gain * (x @ leak.T) + np.asarray(scn.sigma2, dtype=float))
+    return float(np.log2(1.0 + sinr).sum(axis=1).max())
+
+
 def interference_free_rate_bound(mats, scn):
     """Sum-rate ceiling sum_m log2(1 + g_m P0 / sigma2_m): every decoder gets
     the whole budget and sees no interference.  No allocation within the

@@ -105,6 +105,24 @@ class TestCheck:
         assert key in capsys.readouterr().err
         assert main(["solve", str(bad)]) == EXIT_BAD_INPUT
 
+    def test_every_command_refuses_the_solver_block(self, tmp_path, capsys):
+        # each subcommand reads the scenario and its solver block once, before
+        # any work, so `correlate` refuses the block as the others do
+        bad = tmp_path / "bad.scenario"
+        text = bundled_scenario_path().read_text()
+        bad.write_text(text.replace("solver:\n  convergence_threshold: 0.001", "solver: {bogus: 1}"))
+        commands = [
+            ["check", str(bad)],
+            ["solve", str(bad), "--output", str(tmp_path / "row.csv")],
+            ["sweep", str(bad), "--variable", "R", "--grid", "2"],
+            ["correlate", str(bad), "--output-prefix", str(tmp_path / "corr")],
+        ]
+        for argv in commands:
+            assert main(argv) == EXIT_BAD_INPUT, argv[0]
+            got = capsys.readouterr()
+            assert got.out == "" and "unexpected keyword argument 'bogus'" in got.err
+        assert list(tmp_path.iterdir()) == [bad]
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -1,6 +1,7 @@
 """The package's public names are declared once, in each module's `__all__`,
-and importing or running it needs no scipy."""
+and importing or running it needs no scipy; the README's library example runs."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import mfswipt
 from mfswipt import benchmarks, correlation, geometry, metrics, scenario, solvers
 
 MODULES = (geometry, scenario, correlation, metrics, solvers, benchmarks)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_reexports_every_module_all():
@@ -80,3 +82,14 @@ def test_import_loads_no_scipy():
 def test_import_loads_no_thread_pool():
     proc = run_probe(NO_POOL_IMPORT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's one python block runs as printed, its own assert included,
+    # so an example that drifts from the package fails the suite
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    status, objective, rate = capsys.readouterr().out.split()
+    assert status == "SolveStatus.OPTIMAL" and float(objective) > 0.0
+    assert float(rate) >= 5.0 - 1e-7  # the bundled floor R, met to the solvers' tolerance

@@ -17,6 +17,7 @@ from conftest import (
     lp_vertex_oracle,
     random_geometry_instance,
     simplex_grid_best_rate,
+    simplex_grid_best_rate_3,
     synthetic_single_decoder,
 )
 from mfswipt import (
@@ -580,6 +581,37 @@ def drawn_case(eh, idr, p0_dbm, rate_floor):
     if rate_floor is None:
         rate_floor = fp_rate_max(mats, scn).r_star - 5e-8
     return mats, dataclasses.replace(scn, rate_floor=rate_floor)
+
+
+def three_decoder_draw(seed):
+    """Three decoders and no harvester, drawn as the benchmark draws its
+    instances: departure angle within 60 degrees of broadside, 1.05-1.3 Z,
+    P0 20-44 dBm."""
+    rng = np.random.default_rng(seed)
+    idr = []
+    for _ in range(3):
+        phi = math.pi / 2.0 + rng.uniform(-math.pi / 3.0, math.pi / 3.0)
+        idr.append((math.cos(phi), float(rng.uniform(1.05, 1.3))))
+    return drawn_case((), idr, float(rng.uniform(20.0, 44.0)), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_three_decoder_rate_max_reaches_grid(seed):
+    # no other test checks the sum-rate maximum of three decoders
+    mats, scn = three_decoder_draw(seed)
+    assert fp_rate_max(mats, scn).r_star >= simplex_grid_best_rate_3(mats, scn) - 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: fp_rate_max switches decoders off for good, as its SQUAREM "
+    "step clamps a decoder to 0 W, which the fixed-point map never revives "
+    "(r* = 11.42, grid 16.30)",
+)
+def test_three_close_decoders_rate_max_reaches_grid():
+    idr = [(-0.0141, 1.2378), (-0.0251, 1.143), (-0.0306, 1.0807)]
+    mats, scn = drawn_case((), idr, 43.2, 0.0)
+    assert fp_rate_max(mats, scn).r_star >= simplex_grid_best_rate_3(mats, scn) - 1e-9
 
 
 FLOORS = ("zero", "drawn", "below_edge", "above_edge", "above")
