@@ -148,7 +148,7 @@ def run_scheme(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter experiment over `variable` in {P0_dBm, R, K, M}; K and M
+    """One-parameter experiment over `variable`, one of VARIABLES; K and M
     grid values must be whole numbers.
 
     For receiver-count sweeps the extra receivers beyond the base scenario
@@ -160,13 +160,15 @@ class SweepSpec:
     decoders inherit the first decoder's noise power.
     """
 
+    VARIABLES = ("P0_dBm", "R", "K", "M")  # unannotated: a class constant, not a field
+
     variable: str
     grid: tuple
     seed: int = 0
     record_timing: bool = False
 
     def __post_init__(self):
-        if self.variable not in {"P0_dBm", "R", "K", "M"}:
+        if self.variable not in self.VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be non-empty")
@@ -182,11 +184,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One line of the result table: its fields, in order, are the CSV columns."""
+
     sweep_var: str
     sweep_value: float
     scheme: str
-    objective_w: float
-    objective_dbm: float | None
+    objective_W: float
+    objective_dBm: float | None
     sum_rate_bpshz: float
     scheduled_mask: str
     iterations: int
@@ -226,8 +230,8 @@ class ResultRow:
             sweep_var=sweep_var,
             sweep_value=float(sweep_value),
             scheme=scheme,
-            objective_w=obj,
-            objective_dbm=watts_to_dbm(obj) if obj > 0 else None,
+            objective_W=obj,
+            objective_dBm=watts_to_dbm(obj) if obj > 0 else None,
             sum_rate_bpshz=rate,
             scheduled_mask=mask,
             iterations=iterations,

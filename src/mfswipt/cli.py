@@ -11,6 +11,8 @@ Subcommands:
 
 Every subcommand reads its scenario and checks its ``solver:`` block once,
 before any work; ``_emit`` writes every output, to a file or to stdout.
+The result table's columns are ``ResultRow``'s fields, in order; the sweep
+variables and the seed and scheme defaults are the ones ``benchmarks`` declares.
 
 Exit codes: 0 solved (or any sweep row solved), 2 infeasible, 3 iteration
 limit, 4 usage, scenario/parse error or unwritable output path, 1 unexpected
@@ -49,24 +51,10 @@ EXIT_INFEASIBLE = 2
 EXIT_ITER_LIMIT = 3
 EXIT_BAD_INPUT = 4
 
-CSV_COLUMNS = [
-    "sweep_var",
-    "sweep_value",
-    "scheme",
-    "objective_W",
-    "objective_dBm",
-    "sum_rate_bpshz",
-    "scheduled_mask",
-    "iterations",
-    "status",
-    "wall_ms",
-    "seed",
-]
+CSV_COLUMNS = [f.name for f in dataclasses.fields(ResultRow)]
+_row_cells = operator.attrgetter(*CSV_COLUMNS)  # a row's cells in column order
 
 log = logging.getLogger(__name__)
-
-# a row's cells in CSV_COLUMNS order
-_row_cells = operator.attrgetter(*(f.name for f in dataclasses.fields(ResultRow)))
 
 
 def _setup_logging() -> None:
@@ -259,19 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one scheme on a scenario")
     p_solve.add_argument("scenario")
-    p_solve.add_argument("--scheme", choices=scheme_names, default="proposed")
+    p_solve.add_argument("--scheme", choices=scheme_names, default=SchemeId.PROPOSED.value)
     p_solve.add_argument("--output", default=None, help="CSV path (default stdout)")
     p_solve.add_argument("--timing", action="store_true", help="record wall time")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="run schemes across a parameter grid")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--variable", choices=["P0_dBm", "R", "K", "M"], required=True)
+    p_sweep.add_argument("--variable", choices=SweepSpec.VARIABLES, required=True)
     p_sweep.add_argument("--grid", required=True, help="comma-separated grid values")
     p_sweep.add_argument(
         "--schemes", default=",".join(scheme_names), help="comma-separated scheme names"
     )
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=int, default=SweepSpec.seed)
     p_sweep.add_argument("--output", default=None, help="CSV path (default stdout)")
     p_sweep.add_argument("--timing", action="store_true", help="record wall times")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -184,7 +184,7 @@ def _parse_receiver(entry: dict, z: float, idx: int, kind: str) -> Receiver:
         r = _number(entry["r_m"], f"{where}.r_m")
     if math.isinf(r):
         raise ScenarioError(f"{where}: distance must be finite, got {r}")
-    weight = _number(entry.get("alpha", 1.0), f"{where}.alpha")
+    weight = _number(entry.get("alpha", Receiver.weight), f"{where}.alpha")
     try:
         loc = PolarLocation(spatial_angle=theta, distance=r)
         return Receiver(location=loc, weight=weight)
@@ -235,7 +235,7 @@ def parse_scenario(path: str | Path) -> tuple[ArrayConfig, Scenario]:
     rate_floor = _number(constraints.get("R_bpshz", 0.0), "constraints.R_bpshz")
 
     eh_model = _mapping(doc.get("eh_model"), "eh_model", _EH_MODEL_KEYS)
-    zeta = _number(eh_model.get("zeta", 0.5), "eh_model.zeta")
+    zeta = _number(eh_model.get("zeta", Scenario.zeta), "eh_model.zeta")
 
     solver = _mapping(doc.get("solver"), "solver")
 

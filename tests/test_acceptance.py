@@ -222,11 +222,11 @@ def _assert_dominance(rows):
             assert proposed.status == "Optimal", f"proposed infeasible at {value}"
         for name in optimal_here:
             row = schemes[name]
-            assert row.objective_w <= exhaustive.objective_w * (1 + 1e-6), (
+            assert row.objective_W <= exhaustive.objective_W * (1 + 1e-6), (
                 f"{name} beats the schedule oracle at {value}"
             )
             if name in HEURISTICS:
-                assert row.objective_w <= proposed.objective_w * (1 + 1e-6), (
+                assert row.objective_W <= proposed.objective_W * (1 + 1e-6), (
                     f"{name} beats the proposed scheme at {value}"
                 )
 
@@ -245,7 +245,7 @@ def test_c08_trend_suite(reference_setup):
         )
         proposed = [r for r in budget_rows if r.scheme == "proposed"]
         assert all(r.status == "Optimal" for r in proposed)
-        values = [r.objective_w for r in proposed]
+        values = [r.objective_W for r in proposed]
         assert all(b > a for a, b in zip(values, values[1:])), "not strictly increasing in budget"
         _assert_dominance(budget_rows)
 
@@ -258,7 +258,7 @@ def test_c08_trend_suite(reference_setup):
         )
         proposed = [r for r in rate_rows if r.scheme == "proposed"]
         assert all(r.status == "Optimal" for r in proposed)
-        values = [r.objective_w for r in proposed]
+        values = [r.objective_W for r in proposed]
         assert all(
             b <= a * (1 + 1e-9) for a, b in zip(values, values[1:])
         ), "not non-increasing in the rate floor"
@@ -295,7 +295,7 @@ def test_c08_trend_suite(reference_setup):
         )
         proposed = [r for r in count_rows if r.scheme == "proposed"]
         assert all(r.status == "Optimal" for r in proposed)
-        values = [r.objective_w for r in proposed]
+        values = [r.objective_W for r in proposed]
         assert all(
             b >= a * (1 - 1e-9) for a, b in zip(values, values[1:])
         ), "not non-decreasing in the harvester count"

@@ -162,7 +162,7 @@ class TestRunSweep:
             for r in run_sweep(spec, cfg, scn, [SchemeId.PROPOSED])
             if r.scheme == "proposed"
         ]
-        objectives = [r.objective_w for r in rows]
+        objectives = [r.objective_W for r in rows]
         assert objectives == sorted(objectives)
         assert objectives[0] < objectives[1] < objectives[2]
 
@@ -170,7 +170,7 @@ class TestRunSweep:
         cfg, scn, _ = reference_setup
         spec = SweepSpec(variable="R", grid=(2.0, 6.0, 10.0), seed=1)
         rows = run_sweep(spec, cfg, scn, [SchemeId.PROPOSED])
-        objectives = [r.objective_w for r in rows]
+        objectives = [r.objective_W for r in rows]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(objectives, objectives[1:]))
 
     def test_added_harvesters_nest_across_grid(self, reference_setup):
@@ -207,9 +207,9 @@ class TestRunSweep:
             if row.status != "Optimal":
                 continue
             assert row.sum_rate_bpshz >= row.sweep_value - 1e-5
-            if row.objective_w > 0:
-                assert row.objective_dbm == pytest.approx(
-                    10 * math.log10(row.objective_w) + 30.0, abs=1e-9
+            if row.objective_W > 0:
+                assert row.objective_dBm == pytest.approx(
+                    10 * math.log10(row.objective_W) + 30.0, abs=1e-9
                 )
 
     def test_wall_time_suppressed_by_default(self, reference_setup):

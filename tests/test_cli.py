@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import fcntl
 import io
 import itertools
@@ -17,7 +16,7 @@ import yaml
 
 import mfswipt
 from mfswipt import SolverOptions, SolveStatus, bundled_scenario_path, sum_rate
-from mfswipt.benchmarks import ResultRow, SchemeId, run_scheme
+from mfswipt.benchmarks import SchemeId, run_scheme
 from mfswipt.cli import (
     CSV_COLUMNS,
     EXIT_BAD_INPUT,
@@ -52,10 +51,11 @@ def assert_unwritable(tmp_path, capsys, argv, path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_result_row_fields_follow_csv_columns():
-    # rows are written field by field, so the field order is the column order
-    names = [f.name for f in dataclasses.fields(ResultRow)]
-    assert [n.lower() for n in names] == [c.lower() for c in CSV_COLUMNS]
+def edited_bundled(tmp_path, edit):
+    """Path of the bundled scenario, edited as a parsed document and written back."""
+    path = tmp_path / "edited.scenario"
+    path.write_text(yaml.safe_dump(edit(yaml.safe_load(bundled_scenario_path().read_text()))))
+    return str(path)
 
 
 def read_table(path):
@@ -482,6 +482,42 @@ class TestSweep:
         _, _, rows = read_table(out)
         assert [r["status"].split(":")[0] for r in rows] == ["Error"] * 4
 
+    def test_decoder_count_below_the_base_fails_every_row(self, tmp_path, capsys):
+        # the bundled scenario has 2 decoders
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", BUNDLED, "--variable", "M", "--grid", "1", "--output", str(out)]
+        assert main(argv) == EXIT_UNEXPECTED
+        assert "M grid value 1 below the base count 2" in capsys.readouterr().err
+
+    def test_added_decoders_need_a_noise_reference(self, tmp_path, capsys):
+        # a decoder-free scenario holds no noise power for an added decoder to take
+        def drop_decoders(doc):
+            doc.pop("id_receivers")
+            return {**doc, "constraints": {"R_bpshz": 0.0}}
+
+        scenario = edited_bundled(tmp_path, drop_decoders)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", scenario, "--variable", "M", "--grid", "1", "--output", str(out)]
+        assert main(argv) == EXIT_UNEXPECTED
+        err = capsys.readouterr().err
+        assert "cannot add decoders to a scenario without a noise reference" in err
+
+    def test_drawn_angle_outside_the_spatial_range_writes_nothing(self, tmp_path, capsys):
+        # 2 d / lambda = 1.8 at 0.009 m and 30 GHz, so a drawn harvester whose
+        # departure angle lies far from broadside maps outside [-1, 1]
+        def wide_spacing(doc):
+            doc["array"].pop("spacing")
+            doc["array"]["spacing_m"] = 0.009
+            return doc
+
+        scenario = edited_bundled(tmp_path, wide_spacing)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", scenario, "--variable", "K", "--grid", "12", "--seed", "0"]
+        assert main(argv + ["--output", str(out)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert re.search(r"spacing 0\.009 maps phi=\S+ outside the spatial-angle range", err)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -641,6 +677,20 @@ class TestCorrelate:
         alone = self._grid(tmp_path, "alone", "--ref-r-over-z", "0.2")
         assert alone != self._grid(tmp_path, "default")
         assert alone == self._grid(tmp_path, "both", "--ref-theta", "0.0", "--ref-r-over-z", "0.2")
+
+    def test_reference_without_harvesters(self, tmp_path):
+        # with no harvester to sit on, the reference is theta = 0 at 0.05 Z
+        scenario = edited_bundled(
+            tmp_path, lambda doc: {k: v for k, v in doc.items() if k != "eh_receivers"}
+        )
+
+        def grid(name, *flags):
+            prefix = tmp_path / name
+            argv = ["correlate", scenario, "--output-prefix", str(prefix), "--grid-points", "7"]
+            assert main(argv + list(flags)) == EXIT_OK
+            return (tmp_path / f"{name}_error_grid.csv").read_bytes()
+
+        assert grid("default") == grid("explicit", "--ref-theta", "0", "--ref-r-over-z", "0.05")
 
     @pytest.mark.parametrize(
         "flags, message",

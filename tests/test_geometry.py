@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,21 @@ class TestValidation:
     def test_aod_conversion(self, array256):
         assert aod_to_spatial_angle(array256, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
         assert aod_to_spatial_angle(array256, 0.0) == pytest.approx(1.0)
+
+    def test_far_steering_angle_out_of_range_rejected(self, array256):
+        with pytest.raises(ValueError, match="spatial angle must lie in"):
+            far_steering(array256, 1.5)
+
+    def test_aod_outside_the_spatial_range_rejected(self):
+        # 2 d / lambda = 1.8 at 0.009 m and 30 GHz, so phi = 0 maps to theta = 1.8
+        cfg = ArrayConfig(n_antennas=256, carrier_freq=30e9, spacing=0.009)
+        with pytest.raises(ValueError, match="outside the spatial-angle range"):
+            aod_to_spatial_angle(cfg, 0.0)
+
+    def test_fresnel_warning_silent_in_far_field(self, array256):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warn_if_outside_fresnel(array256, PolarLocation(0.0, math.inf))
 
     def test_fresnel_warning_fires(self, array256):
         with pytest.warns(FresnelRegionWarning):

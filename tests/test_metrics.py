@@ -229,6 +229,10 @@ class TestPowerAllocation:
         with pytest.raises(ValueError):
             PowerAllocation(np.array([0.1, -0.2]))
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="1-D"):
+            PowerAllocation(np.ones((2, 2)))
+
     def test_scheduling_support(self):
         y = PowerAllocation(np.array([0.5, 2e-7, 0.0]))
         assert y.scheduled_mask(1.0).tolist() == [True, False, False]

@@ -110,6 +110,13 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="sigma2"):
             parse_scenario(write_scenario(tmp_path, bad))
 
+    def test_omitted_alpha_and_zeta_take_the_dataclass_defaults(self, tmp_path):
+        harvester = "eh_receivers:\n  - {theta: 0.0, r_over_Z: 0.1}"
+        text = MINIMAL.replace("eh_receivers: []", harvester)
+        _, scn = parse_scenario(write_scenario(tmp_path, text))
+        assert scn.eh_receivers[0].weight == Receiver.weight
+        assert scn.zeta == Scenario.zeta
+
     def test_per_decoder_noise(self, tmp_path):
         text = MINIMAL.replace("sigma2_dBm: -80.0", "sigma2_dBm: [-75.0]")
         _, scn = parse_scenario(write_scenario(tmp_path, text))
@@ -239,6 +246,18 @@ def test_harvester_line_is_valid(tmp_path):
     text = MINIMAL.replace("eh_receivers: []", HARVESTER)
     _, scn = parse_scenario(write_scenario(tmp_path, text))
     assert scn.n_eh == 1
+
+
+def test_one_noise_power_per_decoder_required():
+    decoder = Receiver(PolarLocation(0.0, 400.0))
+    with pytest.raises(ValueError, match="one noise power per information receiver"):
+        Scenario(
+            eh_receivers=(),
+            id_receivers=(decoder, decoder),
+            sigma2=(1e-11,),
+            p0=1.0,
+            rate_floor=0.0,
+        )
 
 
 class TestCanonicalForm:

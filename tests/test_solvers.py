@@ -844,6 +844,16 @@ def test_objective_bound_covers_every_report(case):
             assert (top * (p0 - need) + dec * need) * (1 + 2.0**-50) <= bound
 
 
+def test_least_decoder_power_is_the_budget_when_the_level_overflows(reference_setup):
+    # at R = 5000 bps/Hz the water level 2^(R/2) of both decoders overflows a
+    # float; no schedule meets the floor
+    cfg, scn, _ = reference_setup
+    scn = dataclasses.replace(scn, rate_floor=5000.0)
+    mats = build_matrices(cfg, scn)
+    assert _least_decoder_power(mats, scn, np.ones(mats.n_id, dtype=bool)) == scn.p0
+    assert exhaustive_search(mats, scn).status is SolveStatus.INFEASIBLE
+
+
 @settings(max_examples=25)
 @given(
     pruning_cases(k=st.integers(1, 3), m=st.integers(2, 3), floors=("drawn",)),
@@ -1057,6 +1067,21 @@ class TestEdgeCases:
             y = report.allocation.powers
             assert (y >= 0).all() and y.sum() <= scn.p0 * (1 + 1e-12)
             assert sum_rate(mats, scn.sigma2, y) >= scn.rate_floor - 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: proposed stops after 0 rounds with decoder 1 at "
+        "exactly 0 W (1.727e-7 W against exhaustive's 1.447e-6 W)",
+    )
+    def test_coincident_decoders_proposed_reaches_exhaustive(self, reference_setup):
+        cfg, scn, _ = reference_setup
+        first = scn.id_receivers[0]
+        scn = dataclasses.replace(scn, id_receivers=(first, first))
+        mats = build_matrices(cfg, scn)
+        proposed = run_scheme(SchemeId.PROPOSED, mats, scn)
+        exhaustive = run_scheme(SchemeId.EXHAUSTIVE, mats, scn)
+        assert proposed.objective >= exhaustive.objective * (1 - 1e-3)
 
     def test_harvester_only_closed_form_needs_harvesters(self, array256):
         scn = Scenario(
